@@ -47,6 +47,17 @@ class AnnotatedUtterance:
     tokens: tuple[TokenAnnotation, ...]
 
 
+def committed_label(token: TokenAnnotation) -> str | None:
+    """The single label a token commits to: `Semantic_Relation` for a marker,
+    the only label of a labeled token, None for ambiguous and unknown ones."""
+    if token.status is Status.RELATION_MARKER:
+        return SEMANTIC_RELATION_LABEL
+    if token.status is Status.LABELED:
+        (label,) = token.labels
+        return label
+    return None
+
+
 def annotate_token(surface: str, *ontologies: Ontology) -> TokenAnnotation:
     labels: frozenset[str] = frozenset()
     relation_ids: frozenset[str] = frozenset()

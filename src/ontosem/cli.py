@@ -22,7 +22,7 @@ from .evaluate import (
     AlignmentError,
     EvaluationCounts,
     UNRESOLVED_POLICIES,
-    metrics,
+    counts_to_document,
     render_counts_table,
     render_report,
     report,
@@ -86,7 +86,6 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
         default=str(samples.tables_path()),
         help="normalization tables file (default: bundled railway sample)",
     )
-    parser.add_argument("--in", dest="input", required=True, help="raw corpus file (id<TAB>text)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,25 +96,18 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_annotate = commands.add_parser("annotate", help="label tokens by ontology lookup")
-    _add_pipeline_options(p_annotate)
-    p_annotate.add_argument("--out", default="-", help="output path ('-' for stdout)")
-    p_annotate.add_argument("--format", choices=("xml", "tsv"), default="xml")
-
     p_interpret = commands.add_parser(
         "interpret", help="annotate, then disambiguate multi-label tokens"
     )
-    _add_pipeline_options(p_interpret)
-    p_interpret.add_argument("--out", default="-", help="output path ('-' for stdout)")
-    p_interpret.add_argument("--format", choices=("xml", "tsv"), default="xml")
+    for p in (p_annotate, p_interpret):
+        _add_pipeline_options(p)
+        p.add_argument("--in", dest="input", required=True, help="raw corpus file (id<TAB>text)")
+        p.add_argument("--out", default="-", help="output path ('-' for stdout)")
+        p.add_argument("--format", choices=("xml", "tsv"), default="xml")
     p_interpret.add_argument("--tie-break", choices=TIE_BREAKS, default="left")
 
     p_eval = commands.add_parser("eval", help="score the pipeline against gold annotations")
-    _add_ontology_options(p_eval)
-    p_eval.add_argument(
-        "--tables",
-        default=str(samples.tables_path()),
-        help="normalization tables file (default: bundled railway sample)",
-    )
+    _add_pipeline_options(p_eval)
     p_eval.add_argument(
         "--in", dest="input", help="raw corpus file (required unless --from-counts)"
     )
@@ -145,16 +137,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_pipeline(args: argparse.Namespace):
-    domain = load_ontology(args.domain)
-    task = load_ontology(args.task)
+    """Load the ontology pair as one merged ontology, normalize and annotate."""
+    ontology = merge(load_ontology(args.domain), load_ontology(args.task))
     tables = load_tables(args.tables)
     utterances = load_utterances(args.input)
-    normalized = normalize_all(utterances, tables, domain, task)
-    return domain, task, annotate_all(normalized, domain, task)
+    normalized = normalize_all(utterances, tables, ontology)
+    return ontology, annotate_all(normalized, ontology)
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    _, _, annotated = _run_pipeline(args)
+    _, annotated = _run_pipeline(args)
     text = annotated_to_xml(annotated) if args.format == "xml" else annotated_to_tsv(annotated)
     _write_out(args.out, text)
     _info(f"annotated {len(annotated)} utterance(s)")
@@ -162,8 +154,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_interpret(args: argparse.Namespace) -> int:
-    domain, task, annotated = _run_pipeline(args)
-    interpreted = interpret_all(annotated, domain, task, tie_break=args.tie_break)
+    ontology, annotated = _run_pipeline(args)
+    interpreted = interpret_all(annotated, ontology, tie_break=args.tie_break)
     text = (
         interpreted_to_xml(interpreted) if args.format == "xml" else interpreted_to_tsv(interpreted)
     )
@@ -180,33 +172,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
         except ValueError as err:
             _info(f"ontosem: bad --from-counts value: {err}")
             return EXIT_INPUT
-        m = metrics(counts)
-        document = {
-            "format_version": 1,
-            "counts": {
-                "correct": counts.correct,
-                "incorrect": counts.incorrect,
-                "not_recognized": counts.not_recognized,
-                "total": counts.total,
-            },
-            "metrics": {
-                "precision": m.precision,
-                "f_measure": m.f_measure,
-                "precision_display": m.precision_display,
-                "f_measure_display": m.f_measure_display,
-                "f1_conventional": m.f1_conventional,
-            },
-        }
-        _write_out(args.out, _json_text(document))
+        _write_out(args.out, _json_text(counts_to_document(counts)))
         _info(render_counts_table(counts))
         return EXIT_OK
 
     if not args.input or not args.gold:
         _info("ontosem: eval requires --in and --gold (or --from-counts)")
         return EXIT_INPUT
-    domain, task, annotated = _run_pipeline(args)
-    interpreted = interpret_all(annotated, domain, task, tie_break=args.tie_break)
-    gold = load_gold(args.gold, merge(domain, task))
+    ontology, annotated = _run_pipeline(args)
+    interpreted = interpret_all(annotated, ontology, tie_break=args.tie_break)
+    gold = load_gold(args.gold, ontology)
     result = report(
         interpreted, gold, unresolved_policy=args.unresolved, include_markers=True
     )
@@ -279,6 +254,13 @@ def main(argv: list[str] | None = None) -> int:
         return handler(args)
     except FileNotFoundError as err:
         _info(f"ontosem: file not found: {err.filename}")
+        return EXIT_INPUT
+    except UnicodeDecodeError as err:
+        # the decoder does not know which file it read, only where in it
+        _info(f"ontosem: input is not UTF-8: {err.reason} at byte {err.start}")
+        return EXIT_INPUT
+    except OSError as err:
+        _info(f"ontosem: {err.filename}: {err.strerror}" if err.filename else f"ontosem: {err}")
         return EXIT_INPUT
     except (OntologyFormatError, CorpusFormatError) as err:
         _info(f"ontosem: {err}")

@@ -27,11 +27,11 @@ surviving candidate set as a wrong commitment instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .annotate import SEMANTIC_RELATION_LABEL, Status
+from .annotate import SEMANTIC_RELATION_LABEL, Status, committed_label
 from .corpus import GoldUtterance
 from .interpret import UNCHANGED, InterpretedUtterance
 
@@ -124,21 +124,15 @@ def metrics(counts: EvaluationCounts) -> Metrics:
     return Metrics(precision_exact=precision, f_measure_exact=f_measure, f1_exact=f1)
 
 
-@dataclass(frozen=True)
-class _ScoredToken:
-    utterance_id: str
-    index: int
-    gold_label: str
-    bucket: str  # "a", "b" or "c"
-    single_label: bool  # committed from a one-label annotation, no interpretation
-
-
 def _score_tokens(
     predicted: Iterable[InterpretedUtterance],
     gold: Mapping[str, GoldUtterance],
     unresolved_policy: str,
     include_markers: bool,
-) -> Iterator[_ScoredToken]:
+) -> Iterator[tuple[str, str, bool]]:
+    """Yield (gold_label, bucket, single_label) per scored token, where bucket
+    is "a", "b" or "c" and single_label marks a token committed from a
+    one-label annotation without interpretation."""
     if unresolved_policy not in UNRESOLVED_POLICIES:
         raise ValueError(
             f"unresolved_policy must be one of {UNRESOLVED_POLICIES}, got {unresolved_policy!r}"
@@ -170,13 +164,7 @@ def _score_tokens(
             if not include_markers and gold_token.label == SEMANTIC_RELATION_LABEL:
                 continue
 
-            if token.status is Status.RELATION_MARKER:
-                committed: str | None = SEMANTIC_RELATION_LABEL
-            elif token.status is Status.LABELED:
-                (committed,) = token.labels
-            else:
-                committed = None
-
+            committed = committed_label(token)
             if token.status is Status.AMBIGUOUS:
                 bucket = "b" if unresolved_policy == "incorrect" else "c"
             elif committed is None:
@@ -192,7 +180,7 @@ def _score_tokens(
                 and resolution is not None
                 and resolution.outcome == UNCHANGED
             )
-            yield _ScoredToken(uid, index, gold_token.label, bucket, single_label)
+            yield gold_token.label, bucket, single_label
 
 
 def compare(
@@ -201,15 +189,13 @@ def compare(
     unresolved_policy: str = "not-recognized",
     include_markers: bool = True,
 ) -> EvaluationCounts:
-    """Aggregate token buckets over a whole corpus.
+    """Aggregate token buckets over a whole corpus: the overall counts of
+    report(), which is the one place tokens are tallied.
 
     Raises AlignmentError when predictions and gold do not cover the same
     utterances with the same token sequences.
     """
-    tally = {"a": 0, "b": 0, "c": 0}
-    for scored in _score_tokens(predicted, gold, unresolved_policy, include_markers):
-        tally[scored.bucket] += 1
-    return EvaluationCounts.tally(tally["a"], tally["b"], tally["c"])
+    return report(predicted, gold, unresolved_policy, include_markers).counts
 
 
 def report(
@@ -223,11 +209,13 @@ def report(
     overall = {"a": 0, "b": 0, "c": 0}
     per_concept: dict[str, dict[str, int]] = {}
     single = {"a": 0, "b": 0, "c": 0}
-    for scored in _score_tokens(list(predicted), gold, unresolved_policy, include_markers):
-        overall[scored.bucket] += 1
-        per_concept.setdefault(scored.gold_label, {"a": 0, "b": 0, "c": 0})[scored.bucket] += 1
-        if scored.single_label:
-            single[scored.bucket] += 1
+    for gold_label, bucket, single_label in _score_tokens(
+        predicted, gold, unresolved_policy, include_markers
+    ):
+        overall[bucket] += 1
+        per_concept.setdefault(gold_label, {"a": 0, "b": 0, "c": 0})[bucket] += 1
+        if single_label:
+            single[bucket] += 1
 
     counts = EvaluationCounts.tally(overall["a"], overall["b"], overall["c"])
     return EvaluationReport(
@@ -241,30 +229,30 @@ def report(
     )
 
 
-def report_to_document(rep: EvaluationReport) -> dict:
-    """JSON-serializable form of a report (deterministic content)."""
-    def counts_record(c: EvaluationCounts) -> dict:
-        return {
-            "correct": c.correct,
-            "incorrect": c.incorrect,
-            "not_recognized": c.not_recognized,
-            "total": c.total,
-        }
-
+def counts_to_document(counts: EvaluationCounts) -> dict:
+    """JSON-serializable form of bare counts: `format_version`, the four
+    counts and their metrics. `eval --from-counts` writes exactly this, and
+    report_to_document() extends it, so both documents share one shape."""
+    m = metrics(counts)
     return {
         "format_version": 1,
-        "counts": counts_record(rep.counts),
+        "counts": asdict(counts),
         "metrics": {
-            "precision": rep.metrics.precision,
-            "f_measure": rep.metrics.f_measure,
-            "precision_display": rep.metrics.precision_display,
-            "f_measure_display": rep.metrics.f_measure_display,
-            "f1_conventional": rep.metrics.f1_conventional,
+            "precision": m.precision,
+            "f_measure": m.f_measure,
+            "precision_display": m.precision_display,
+            "f_measure_display": m.f_measure_display,
+            "f1_conventional": m.f1_conventional,
         },
+    }
+
+
+def report_to_document(rep: EvaluationReport) -> dict:
+    """JSON-serializable form of a report (deterministic content)."""
+    return {
+        **counts_to_document(rep.counts),
         "single_label_precision": rep.single_label_precision,
-        "per_concept": {
-            label: counts_record(c) for label, c in sorted(rep.per_concept.items())
-        },
+        "per_concept": {label: asdict(c) for label, c in sorted(rep.per_concept.items())},
     }
 
 

@@ -15,7 +15,7 @@ consulted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import AbstractSet, Iterable
 
 from .annotate import AnnotatedUtterance, Status, TokenAnnotation
@@ -45,7 +45,16 @@ class InterpretedUtterance:
     id: str
     tokens: tuple[TokenAnnotation, ...]
     resolutions: tuple[Resolution, ...]
-    consumed_relations: frozenset[tuple[str, int]] = field(default_factory=frozenset)
+
+    @property
+    def consumed_relations(self) -> frozenset[tuple[str, int]]:
+        """The marker occurrences used up, as (relation id, marker token index)
+        pairs, read off the RESOLVED resolutions."""
+        return frozenset(
+            (r.via_relation, r.relation_token_index)
+            for r in self.resolutions
+            if r.outcome == RESOLVED and r.via_relation is not None
+        )
 
 
 def resolve_token(
@@ -94,7 +103,8 @@ def interpret(
     """Disambiguate every multi-label token of one annotated utterance.
 
     Unambiguous tokens pass through unchanged. The result records one
-    Resolution per token position and the set of consumed marker occurrences.
+    Resolution per token position; the consumed marker occurrences follow
+    from those.
     """
     ontology = ontologies[0] if len(ontologies) == 1 else merge(*ontologies)
     consumed: set[int] = set()
@@ -124,16 +134,8 @@ def interpret(
         else:
             tokens.append(token)
 
-    consumed_pairs = frozenset(
-        (r.via_relation, r.relation_token_index)
-        for r in resolutions
-        if r.outcome == RESOLVED and r.via_relation is not None
-    )
     return InterpretedUtterance(
-        id=annotated.id,
-        tokens=tuple(tokens),
-        resolutions=tuple(resolutions),
-        consumed_relations=consumed_pairs,
+        id=annotated.id, tokens=tuple(tokens), resolutions=tuple(resolutions)
     )
 
 

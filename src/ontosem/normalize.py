@@ -92,21 +92,33 @@ class CliticRule:
 
 @dataclass(frozen=True)
 class NormalizationTables:
+    """Normalization rules, with precedence fixed at construction: compounds
+    longest first (ties keep declaration order), clitics longest prefix first
+    (ties by prefix). The first matching rule wins; callers never re-sort."""
+
     compounds: tuple[CompoundRule, ...] = ()
     clitics: tuple[CliticRule, ...] = ()
     variants: dict[str, str] | None = None
 
     def __post_init__(self):
+        object.__setattr__(
+            self, "compounds", tuple(sorted(self.compounds, key=lambda r: -len(r.parts)))
+        )
+        object.__setattr__(
+            self, "clitics", tuple(sorted(self.clitics, key=lambda r: (-len(r.prefix), r.prefix)))
+        )
         object.__setattr__(self, "variants", dict(self.variants or {}))
 
 
 def load_tables(path: str | Path) -> NormalizationTables:
     """Parse and check a normalization tables file.
 
-    Raises TablesError for bad JSON or schema (message carries line/column)
-    and for invariant violations: compound entries with fewer than two parts,
-    duplicate compound part sequences, empty clitic rules, or a variant table
-    that is not idempotent (chained entries a->b->c).
+    Raises TablesError for bad JSON (message carries line/column) or schema
+    (compounds and clitics must be arrays of objects whose parts and expansion
+    are arrays of strings; variants must be an object), and for invariant
+    violations: compound entries with fewer than two parts, duplicate compound
+    part sequences, empty clitic rules, or a variant table that is not
+    idempotent (chained entries a->b->c).
     """
     path = Path(path)
     try:
@@ -118,11 +130,23 @@ def load_tables(path: str | Path) -> NormalizationTables:
     if doc.get("format_version") != 1:
         raise TablesError(f"{path}: unsupported format_version {doc.get('format_version')!r}")
 
+    def records(key: str) -> list[dict]:
+        value = doc.get(key, [])
+        if not isinstance(value, list) or any(not isinstance(r, dict) for r in value):
+            raise TablesError(f"{path}: {key!r} must be an array of objects")
+        return value
+
+    def strings(record: dict, key: str, where: str) -> tuple[str, ...]:
+        value = record.get(key, [])
+        if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
+            raise TablesError(f"{path}: {where} {key!r} must be an array of strings")
+        return tuple(value)
+
     findings: list[str] = []
     compounds: list[CompoundRule] = []
     seen_parts: set[tuple[str, ...]] = set()
-    for record in doc.get("compounds", []):
-        parts = tuple(str(p) for p in record.get("parts", []))
+    for record in records("compounds"):
+        parts = strings(record, "parts", "compound")
         replacement = str(record.get("replacement", "_".join(parts)))
         if len(parts) < 2:
             findings.append(f"compound {parts!r} needs at least two parts")
@@ -132,16 +156,19 @@ def load_tables(path: str | Path) -> NormalizationTables:
         compounds.append(CompoundRule(parts, replacement))
 
     clitics: list[CliticRule] = []
-    for record in doc.get("clitics", []):
+    for record in records("clitics"):
         prefix = str(record.get("prefix", ""))
-        expansion = tuple(str(t) for t in record.get("expansion", []))
+        expansion = strings(record, "expansion", "clitic")
         if not prefix:
             findings.append("clitic rule with empty prefix")
         if not expansion:
             findings.append(f"clitic rule {prefix!r} with empty expansion")
         clitics.append(CliticRule(prefix, expansion))
 
-    variants = {str(k): str(v) for k, v in doc.get("variants", {}).items()}
+    variants = doc.get("variants", {})
+    if not isinstance(variants, dict):
+        raise TablesError(f"{path}: 'variants' must be an object")
+    variants = {str(k): str(v) for k, v in variants.items()}
     for original, base in sorted(variants.items()):
         if variants.get(base, base) != base:
             findings.append(f"variant chain {original!r} -> {base!r} -> {variants[base]!r}")
@@ -177,16 +204,16 @@ def expand_clitics(
 ) -> list[Token]:
     """Rewrite clitic-prefixed tokens into marker tokens plus their host.
 
-    Longest prefix wins. Expansion only fires when the remainder after
-    stripping the prefix is a known surface form (ontology vocabulary or
-    variant table); everything else passes through unchanged, so unknown
-    words that merely start with a clitic letter are left intact.
+    Longest prefix wins (the tables hold clitics in that order). Expansion
+    only fires when the remainder after stripping the prefix is a known
+    surface form (ontology vocabulary or variant table); everything else
+    passes through unchanged, so unknown words that merely start with a
+    clitic letter are left intact.
     """
-    rules = sorted(tables.clitics, key=lambda r: (-len(r.prefix), r.prefix))
     out: list[Token] = []
     for token in tokens:
         rewritten = None
-        for rule in rules:
+        for rule in tables.clitics:
             rest = token.surface[len(rule.prefix):]
             if token.surface.startswith(rule.prefix) and rest and rest in vocabulary:
                 rewritten = (rule, rest)
@@ -208,13 +235,12 @@ def expand_clitics(
 
 def merge_compounds(tokens: Sequence[Token], tables: NormalizationTables) -> list[Token]:
     """Replace contiguous runs found in the compound dictionary, longest match
-    first, scanning left to right."""
-    rules = sorted(tables.compounds, key=lambda r: -len(r.parts))
+    first (the tables hold compounds in that order), scanning left to right."""
     out: list[Token] = []
     i = 0
     while i < len(tokens):
         matched = None
-        for rule in rules:
+        for rule in tables.compounds:
             n = len(rule.parts)
             if tuple(t.surface for t in tokens[i:i + n]) == rule.parts:
                 matched = rule

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Iterable
 from xml.sax.saxutils import escape, quoteattr
 
-from .annotate import AnnotatedUtterance, SEMANTIC_RELATION_LABEL, Status, TokenAnnotation
+from .annotate import AnnotatedUtterance, SEMANTIC_RELATION_LABEL, Status, TokenAnnotation, committed_label
 from .interpret import InterpretedUtterance, Resolution
 
 ANNOTATED_TSV_HEADER = "# ontosem annotations v1: utterance_id\ttoken_index\tsurface\tstatus\tlabels\trelation_ids"
@@ -42,24 +42,19 @@ INTERPRETED_TSV_HEADER = (
 _ABSENT = "-"
 
 
-def _token_labels(token: TokenAnnotation) -> list[str]:
-    if token.status is Status.RELATION_MARKER:
-        return [SEMANTIC_RELATION_LABEL]
-    return sorted(token.labels)
-
-
-def _token_xml(token: TokenAnnotation, indent: str = "    ") -> list[str]:
-    labels = _token_labels(token)
-    opening = f"{indent}<token value={quoteattr(token.surface)}"
+def _token_xml(token: TokenAnnotation) -> list[str]:
+    is_marker = token.status is Status.RELATION_MARKER
+    labels = [SEMANTIC_RELATION_LABEL] if is_marker else sorted(token.labels)
+    opening = f"    <token value={quoteattr(token.surface)}"
     if not labels:
         return [opening + "/>"]
     lines = [opening + ">"]
-    lines.extend(f"{indent}  <annotation>{escape(label)}</annotation>" for label in labels)
-    lines.append(f"{indent}</token>")
+    lines.extend(f"      <annotation>{escape(label)}</annotation>" for label in labels)
+    lines.append("    </token>")
     return lines
 
 
-def _utterances_xml(utterances: Iterable) -> str:
+def annotated_to_xml(utterances: Iterable[AnnotatedUtterance | InterpretedUtterance]) -> str:
     lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<utterances>"]
     for utterance in utterances:
         lines.append(f"  <utterance id={quoteattr(utterance.id)}>")
@@ -70,12 +65,8 @@ def _utterances_xml(utterances: Iterable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def annotated_to_xml(utterances: Iterable[AnnotatedUtterance]) -> str:
-    return _utterances_xml(utterances)
-
-
-def interpreted_to_xml(utterances: Iterable[InterpretedUtterance]) -> str:
-    return _utterances_xml(utterances)
+# both stages list tokens the same way; only the labels they carry differ
+interpreted_to_xml = annotated_to_xml
 
 
 def annotated_to_tsv(utterances: Iterable[AnnotatedUtterance]) -> str:
@@ -105,12 +96,6 @@ def interpreted_to_tsv(utterances: Iterable[InterpretedUtterance]) -> str:
         }
         for index, token in enumerate(utterance.tokens):
             resolution = resolutions[index]
-            if token.status is Status.RELATION_MARKER:
-                label = SEMANTIC_RELATION_LABEL
-            elif token.status is Status.LABELED:
-                (label,) = token.labels
-            else:
-                label = _ABSENT
             lines.append(
                 "\t".join(
                     (
@@ -118,7 +103,7 @@ def interpreted_to_tsv(utterances: Iterable[InterpretedUtterance]) -> str:
                         str(index),
                         token.surface,
                         token.status.value,
-                        label,
+                        committed_label(token) or _ABSENT,
                         "|".join(sorted(resolution.candidates)) or _ABSENT,
                         resolution.outcome,
                         resolution.via_relation or _ABSENT,

@@ -243,9 +243,7 @@ def test_property_count_conservation():
                     GoldToken(t, surface, rng.choice(labels + [SEMANTIC_RELATION_LABEL, "OOV"]))
                 )
             uid = f"u{u}"
-            predicted.append(
-                InterpretedUtterance(uid, tuple(tokens), tuple(resolutions), frozenset())
-            )
+            predicted.append(InterpretedUtterance(uid, tuple(tokens), tuple(resolutions)))
             gold[uid] = GoldUtterance(uid, tuple(gold_tokens))
         policy = rng.choice(["not-recognized", "incorrect"])
         counts = compare(predicted, gold, unresolved_policy=policy)

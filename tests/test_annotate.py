@@ -4,7 +4,14 @@ import random
 import pytest
 
 from ontosem import samples
-from ontosem.annotate import Status, annotate, annotate_token
+from ontosem.annotate import (
+    SEMANTIC_RELATION_LABEL,
+    Status,
+    TokenAnnotation,
+    annotate,
+    annotate_token,
+    committed_label,
+)
 from ontosem.normalize import NormalizedUtterance, RawUtterance, Token, normalize
 from ontosem.ontology import Concept, Instance, Ontology, Relation
 
@@ -121,3 +128,17 @@ def test_three_plus_candidate_labels_allowed():
     token = annotate_token("w", ontology)
     assert token.status is Status.AMBIGUOUS
     assert token.labels == {"A", "B", "C"}
+
+
+@pytest.mark.parametrize(
+    "status, labels, relation_ids, expected",
+    [
+        (Status.LABELED, {"Train"}, set(), "Train"),
+        (Status.AMBIGUOUS, {"Arrival_City", "Departure_City"}, set(), None),
+        (Status.RELATION_MARKER, set(), {"rel_x"}, SEMANTIC_RELATION_LABEL),
+        (Status.NOT_RECOGNIZED, set(), set(), None),
+    ],
+)
+def test_committed_label_per_status(status, labels, relation_ids, expected):
+    token = TokenAnnotation("w", frozenset(labels), frozenset(relation_ids), status)
+    assert committed_label(token) == expected

@@ -127,9 +127,18 @@ def test_eval_from_counts_prints_reference_table(out, capsys):
     err = capsys.readouterr().err
     assert "0.66" in err
     assert "0.96" in err
-    document = json.loads(out.read_text(encoding="utf-8"))
-    assert document["metrics"]["precision_display"] == "0.96"
-    assert document["metrics"]["f_measure_display"] == "0.66"
+    # exactly the counts part of a full report: no per-concept or single-label keys
+    assert json.loads(out.read_text(encoding="utf-8")) == {
+        "format_version": 1,
+        "counts": {"correct": 448, "incorrect": 14, "not_recognized": 208, "total": 670},
+        "metrics": {
+            "precision": 0.9697,
+            "f_measure": 0.6687,
+            "precision_display": "0.96",
+            "f_measure_display": "0.66",
+            "f1_conventional": 0.7915,
+        },
+    }
 
 
 def test_eval_from_counts_rejects_garbage(out):
@@ -149,6 +158,28 @@ def test_eval_alignment_failure_exits_3(out, tmp_path, capsys):
     code = run(["eval", "--in", str(source), "--gold", str(gold), "--out", str(out)])
     assert code == 3
     assert "alignment" in capsys.readouterr().err
+
+
+def test_non_utf8_input_exits_1(out, tmp_path, capsys):
+    source = tmp_path / "latin1.tsv"
+    source.write_bytes("u1\tcafé\n".encode("latin-1"))
+    assert run(["annotate", "--in", str(source), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ontosem: input is not UTF-8") and err.count("\n") == 1
+
+
+def test_directory_input_exits_1_naming_path(out, tmp_path, capsys):
+    assert run(["annotate", "--in", str(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ontosem: {tmp_path}: ") and err.count("\n") == 1
+
+
+def test_malformed_tables_exits_1(out, tmp_path, capsys):
+    tables = tmp_path / "tables.json"
+    tables.write_text(json.dumps({"format_version": 1, "variants": ["a"]}), encoding="utf-8")
+    argv = ["annotate", "--tables", str(tables), "--in", str(samples.corpus_path())]
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ontosem: {tables}: 'variants' must be an object\n"
 
 
 def test_validate_shipped_ontologies(out, capsys):

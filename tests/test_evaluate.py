@@ -33,10 +33,7 @@ def make_predicted(uid, rows):
         resolutions.append(
             Resolution(token_index=index, outcome=UNCHANGED, candidates=frozenset(labels))
         )
-    return InterpretedUtterance(
-        id=uid, tokens=tuple(tokens), resolutions=tuple(resolutions),
-        consumed_relations=frozenset(),
-    )
+    return InterpretedUtterance(id=uid, tokens=tuple(tokens), resolutions=tuple(resolutions))
 
 
 def make_gold(uid, rows):

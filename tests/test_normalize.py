@@ -1,10 +1,12 @@
 import json
+import re
 
 import pytest
 
 from ontosem import samples
 from ontosem.buckwalter import transliterate
 from ontosem.normalize import (
+    CliticRule,
     CompoundRule,
     NormalizationTables,
     RawUtterance,
@@ -181,6 +183,20 @@ def test_longest_compound_wins():
     assert surfaces(merge_compounds(tokens, tables)) == ["A_B_C"]
 
 
+def test_rule_precedence_fixed_at_construction():
+    tables = NormalizationTables(
+        compounds=(CompoundRule(("A", "B"), "A_B"), CompoundRule(("A", "B", "C"), "A_B_C")),
+        clitics=(CliticRule("w", ("w",)), CliticRule("wl", ("w", "l"))),
+    )
+    assert [rule.replacement for rule in tables.compounds] == ["A_B_C", "A_B"]
+    assert [rule.prefix for rule in tables.clitics] == ["wl", "w"]
+    tokens = [Token(s, (i * 2, i * 2 + 1)) for i, s in enumerate(["A", "B", "C"])]
+    assert surfaces(merge_compounds(tokens, tables)) == ["A_B_C"]
+    # both prefixes leave a known remainder; the longer one must win
+    raw = tokenize(RawUtterance("u", "wlhost"))
+    assert surfaces(expand_clitics(raw, tables, {"host", "lhost"})) == ["w", "l", "host"]
+
+
 def test_merged_surface_comes_from_replacement_column(tables):
     replacements = {rule.replacement for rule in tables.compounds}
     tokens = [Token("rwHh", (0, 4)), Token("wjyh", (5, 9)), Token("zz", (10, 12))]
@@ -217,6 +233,26 @@ def test_single_part_compound_rejected(tmp_path):
     )
     with pytest.raises(TablesError, match="two parts"):
         load_tables(path)
+
+
+@pytest.mark.parametrize(
+    "section, value, message",
+    [
+        ("compounds", {"parts": ["a", "b"]}, "'compounds' must be an array of objects"),
+        ("compounds", ["a b"], "'compounds' must be an array of objects"),
+        ("compounds", [{"parts": "ab"}], "compound 'parts' must be an array of strings"),
+        ("compounds", [{"parts": ["a", 1]}], "compound 'parts' must be an array of strings"),
+        ("clitics", {"prefix": "l"}, "'clitics' must be an array of objects"),
+        ("clitics", [{"prefix": "l", "expansion": "Ily"}], "clitic 'expansion' must be an array of strings"),
+        ("variants", [["a", "b"]], "'variants' must be an object"),
+    ],
+)
+def test_malformed_tables_schema_rejected(tmp_path, section, value, message):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps({"format_version": 1, section: value}), encoding="utf-8")
+    with pytest.raises(TablesError, match=re.escape(f"{path}: {message}")) as err:
+        load_tables(path)
+    assert err.value.findings == []
 
 
 def test_tables_bad_json_reports_position(tmp_path):
