@@ -255,10 +255,6 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as err:
         _info(f"ontosem: file not found: {err.filename}")
         return EXIT_INPUT
-    except UnicodeDecodeError as err:
-        # the decoder does not know which file it read, only where in it
-        _info(f"ontosem: input is not UTF-8: {err.reason} at byte {err.start}")
-        return EXIT_INPUT
     except OSError as err:
         _info(f"ontosem: {err.filename}: {err.strerror}" if err.filename else f"ontosem: {err}")
         return EXIT_INPUT

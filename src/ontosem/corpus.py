@@ -57,12 +57,19 @@ class CorpusStats:
     avg_words_per_utterance: float | None
 
 
+def _read_lines(path: Path) -> list[str]:
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        raise CorpusFormatError(f"{path}: not UTF-8: {err.reason} at byte {err.start}") from None
+
+
 def load_utterances(path: str | Path) -> list[RawUtterance]:
     """Read a raw corpus file; rejects malformed lines and duplicate ids."""
     path = Path(path)
     utterances: list[RawUtterance] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         if "\t" not in line:
@@ -87,7 +94,7 @@ def load_gold(path: str | Path, ontology: Ontology | None = None) -> dict[str, G
     path = Path(path)
     reserved = {SEMANTIC_RELATION_LABEL, OOV_LABEL}
     grouped: dict[str, list[GoldToken]] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")

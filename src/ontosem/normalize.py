@@ -21,6 +21,11 @@ the variant table; unknown remainders leave the token untouched. The variant
 table maps orthographic and morphological variants (plurals, alternative
 spellings) to the base form used by the ontology and must be idempotent.
 
+Each token costs a few dict lookups whatever the size of the tables and
+ontologies: compounds are indexed by their first part when the tables are
+built, and the clitic gate asks the variant table and each ontology's own
+surface indexes instead of copying them.
+
 Normalization is a pure function and a fixed point: running it over its own
 output changes nothing.
 """
@@ -28,9 +33,9 @@ output changes nothing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .buckwalter import transliterate
 from .ontology import Ontology
@@ -94,26 +99,58 @@ class CliticRule:
 class NormalizationTables:
     """Normalization rules, with precedence fixed at construction: compounds
     longest first (ties keep declaration order), clitics longest prefix first
-    (ties by prefix). The first matching rule wins; callers never re-sort."""
+    (ties by prefix). The first matching rule wins; callers never re-sort.
+
+    Construction also indexes the compounds by their first part, each bucket
+    in that same precedence order, so matching at a token position looks at
+    no rule starting with another surface. The index is derived data: it
+    takes no part in `==` or `repr`. A compound rule with no parts matches
+    everywhere without consuming a token and is rejected with ValueError.
+    """
 
     compounds: tuple[CompoundRule, ...] = ()
     clitics: tuple[CliticRule, ...] = ()
     variants: dict[str, str] | None = None
+    _compounds_by_first: dict[str, list[CompoundRule]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "compounds", tuple(sorted(self.compounds, key=lambda r: -len(r.parts)))
-        )
+        compounds = tuple(sorted(self.compounds, key=lambda r: -len(r.parts)))
+        empty = [rule for rule in compounds if not rule.parts]
+        if empty:
+            raise ValueError(f"compound rules with no parts: {empty!r}")
+        by_first: dict[str, list[CompoundRule]] = {}
+        for rule in compounds:
+            by_first.setdefault(rule.parts[0], []).append(rule)
+        object.__setattr__(self, "compounds", compounds)
+        object.__setattr__(self, "_compounds_by_first", by_first)
         object.__setattr__(
             self, "clitics", tuple(sorted(self.clitics, key=lambda r: (-len(r.prefix), r.prefix)))
         )
         object.__setattr__(self, "variants", dict(self.variants or {}))
 
 
+class _KnownSurfaces:
+    """The surfaces that gate clitic expansion: variant keys plus every
+    surface the ontologies know. A view over their own indexes; nothing is
+    copied, so building one costs the same for any lexicon size."""
+
+    __slots__ = ("variants", "ontologies")
+
+    def __init__(self, variants: dict[str, str], ontologies: Sequence[Ontology]):
+        self.variants = variants
+        self.ontologies = ontologies
+
+    def __contains__(self, surface: object) -> bool:
+        return surface in self.variants or any(o.knows_surface(surface) for o in self.ontologies)
+
+
 def load_tables(path: str | Path) -> NormalizationTables:
     """Parse and check a normalization tables file.
 
-    Raises TablesError for bad JSON (message carries line/column) or schema
+    Raises TablesError for bytes that are not UTF-8 (message carries the byte
+    offset), bad JSON (message carries line/column) or schema
     (compounds and clitics must be arrays of objects whose parts and expansion
     are arrays of strings; variants must be an object), and for invariant
     violations: compound entries with fewer than two parts, duplicate compound
@@ -123,6 +160,8 @@ def load_tables(path: str | Path) -> NormalizationTables:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise TablesError(f"{path}: not UTF-8: {err.reason} at byte {err.start}") from None
     except json.JSONDecodeError as err:
         raise TablesError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
     if not isinstance(doc, dict):
@@ -200,7 +239,7 @@ def tokenize(raw: RawUtterance) -> list[Token]:
 
 
 def expand_clitics(
-    tokens: Sequence[Token], tables: NormalizationTables, vocabulary: Collection[str]
+    tokens: Sequence[Token], tables: NormalizationTables, vocabulary: Container[str]
 ) -> list[Token]:
     """Rewrite clitic-prefixed tokens into marker tokens plus their host.
 
@@ -208,7 +247,9 @@ def expand_clitics(
     only fires when the remainder after stripping the prefix is a known
     surface form (ontology vocabulary or variant table); everything else
     passes through unchanged, so unknown words that merely start with a
-    clitic letter are left intact.
+    clitic letter are left intact. `vocabulary` is only asked `rest in
+    vocabulary`, once per matching prefix, so any container works: a set, or
+    the view over the ontologies' indexes that `normalize` passes.
     """
     out: list[Token] = []
     for token in tokens:
@@ -235,25 +276,29 @@ def expand_clitics(
 
 def merge_compounds(tokens: Sequence[Token], tables: NormalizationTables) -> list[Token]:
     """Replace contiguous runs found in the compound dictionary, longest match
-    first (the tables hold compounds in that order), scanning left to right."""
+    first, scanning left to right.
+
+    At each position one dict lookup finds the rules whose first part is the
+    current surface (the tables index them, in precedence order); the first
+    of them whose parts all match wins. Cost per token depends on the rules
+    sharing that first part, not on the size of the dictionary.
+    """
+    surfaces = [t.surface for t in tokens]
     out: list[Token] = []
     i = 0
     while i < len(tokens):
-        matched = None
-        for rule in tables.compounds:
+        for rule in tables._compounds_by_first.get(surfaces[i], ()):
             n = len(rule.parts)
-            if tuple(t.surface for t in tokens[i:i + n]) == rule.parts:
-                matched = rule
+            if tuple(surfaces[i:i + n]) == rule.parts:
                 break
-        if matched is None:
+        else:
             out.append(tokens[i])
             i += 1
             continue
-        n = len(matched.parts)
         trace = tuple(dict.fromkeys(s for t in tokens[i:i + n] for s in t.trace))
         out.append(
             Token(
-                matched.replacement,
+                rule.replacement,
                 (tokens[i].span[0], tokens[i + n - 1].span[1]),
                 trace + ("compound",),
             )
@@ -278,14 +323,12 @@ def normalize(
 
     The ontologies supply the surface vocabulary that gates clitic expansion;
     pass every ontology the annotator will consult (normally the domain/task
-    pair).
+    pair). The gate asks the variant table and the indexes each ontology
+    already keeps for annotation, so no vocabulary is built per call and the
+    cost per token does not grow with the lexicon or the tables.
     """
-    vocabulary = set(tables.variants)
-    for ontology in ontologies:
-        vocabulary.update(ontology.surface_vocabulary())
-
     tokens = tokenize(raw)
-    tokens = expand_clitics(tokens, tables, vocabulary)
+    tokens = expand_clitics(tokens, tables, _KnownSurfaces(tables.variants, ontologies))
     tokens = merge_compounds(tokens, tables)
 
     final: list[Token] = []

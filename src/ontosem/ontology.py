@@ -190,6 +190,11 @@ class Ontology:
             current = self._parent_of.get(current)
         return chain
 
+    def knows_surface(self, surface: str) -> bool:
+        """Whether a normalized surface form is an instance or a relation trigger:
+        membership in surface_vocabulary() without building it."""
+        return surface in self._instances_by_surface or surface in self._relations_by_trigger
+
     def surface_vocabulary(self) -> frozenset[str]:
         """All surface forms the ontology knows: instances plus relation triggers."""
         vocab = set(self._instances_by_surface)

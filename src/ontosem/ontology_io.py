@@ -64,12 +64,14 @@ def parse_ontology_file(path: str | Path) -> Ontology:
     """Parse a native ontology file without validating model invariants.
 
     Raises OntologyFormatError for unparseable or schema-violating documents;
-    the message carries the line/column for JSON syntax errors.
+    the message carries the path, and the line/column for JSON syntax errors
+    or the byte offset for bytes that are not UTF-8.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise OntologyFormatError(f"{path}: not UTF-8: {err.reason} at byte {err.start}") from None
     except json.JSONDecodeError as err:
         raise OntologyFormatError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
     return ontology_from_document(doc, source=str(path))

@@ -165,7 +165,28 @@ def test_non_utf8_input_exits_1(out, tmp_path, capsys):
     source.write_bytes("u1\tcafé\n".encode("latin-1"))
     assert run(["annotate", "--in", str(source), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("ontosem: input is not UTF-8") and err.count("\n") == 1
+    assert err == f"ontosem: {source}: not UTF-8: invalid continuation byte at byte 6\n"
+
+
+@pytest.mark.parametrize("option", ["--domain", "--task", "--tables", "--in", "--gold"])
+def test_non_utf8_file_named_in_diagnostic(out, tmp_path, capsys, option):
+    bad = tmp_path / "latin1.bin"
+    bad.write_bytes("u1\t0\tcafé\tTrain\n".encode("latin-1"))
+    files = {
+        "--domain": samples.domain_ontology_path(),
+        "--task": samples.task_ontology_path(),
+        "--tables": samples.tables_path(),
+        "--in": samples.corpus_path(),
+        "--gold": samples.gold_path(),
+    }
+    files[option] = bad
+    argv = ["eval", "--out", str(out)]
+    for name, path in files.items():
+        argv += [name, str(path)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"ontosem: {bad}: not UTF-8: invalid continuation byte at byte 8\n"
+    assert "Traceback" not in err
 
 
 def test_directory_input_exits_1_naming_path(out, tmp_path, capsys):

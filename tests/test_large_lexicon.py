@@ -1,0 +1,62 @@
+"""The benchmark's `large-lexicon` inputs through the pipeline, without timings.
+
+`benchmarks/workloads.py` inflates the sample lexicon with 20,000 filler
+instances, 2,000 filler compounds and 500 filler variants, none of which
+occurs in the corpus, and appends out-of-vocabulary noise words to each
+utterance. Filler must not change the label of any original token, whatever
+the size of the tables and ontologies.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from ontosem import samples
+from ontosem.annotate import annotate_all, committed_label
+from ontosem.corpus import load_utterances
+from ontosem.interpret import interpret_all
+from ontosem.normalize import load_tables, normalize_all
+from ontosem.ontology import merge
+from ontosem.ontology_io import load_ontology
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+def committed(utterances, tables, ontology):
+    """Utterance id -> [(surface, committed label)] after normalize, annotate, interpret."""
+    normalized = normalize_all(utterances, tables, ontology)
+    interpreted = interpret_all(annotate_all(normalized, ontology), ontology)
+    return {u.id: [(t.surface, committed_label(t)) for t in u.tokens] for u in interpreted}
+
+
+def test_inflated_lexicon_keeps_committed_labels(tmp_path):
+    workloads = load_workloads()
+    inputs = workloads.generate(
+        workloads.WORKLOADS["large-lexicon"], 1, samples.corpus_path().parent, tmp_path
+    )
+    assert inputs.instances > 20_000 and inputs.compounds > 2_000
+
+    sample = committed(
+        samples.load_sample_corpus(),
+        samples.load_sample_tables(),
+        merge(samples.load_sample_domain(), samples.load_sample_task()),
+    )
+    inflated = committed(
+        load_utterances(inputs.corpus),
+        load_tables(inputs.tables),
+        merge(load_ontology(inputs.domain), load_ontology(inputs.task)),
+    )
+    assert len(inflated) == len(sample) == 25
+    for uid, tokens in inflated.items():
+        original = sample[inputs.base_of[uid]]
+        assert tokens[:len(original)] == original, uid
+        noise = tokens[len(original):]
+        assert noise and all(label is None for _, label in noise), uid

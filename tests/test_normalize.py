@@ -2,6 +2,7 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ontosem import samples
 from ontosem.buckwalter import transliterate
@@ -9,6 +10,7 @@ from ontosem.normalize import (
     CliticRule,
     CompoundRule,
     NormalizationTables,
+    NormalizedUtterance,
     RawUtterance,
     TablesError,
     Token,
@@ -19,6 +21,57 @@ from ontosem.normalize import (
     radicalize,
     tokenize,
 )
+from ontosem.ontology import Concept, Instance, Ontology, Relation
+
+
+# -- reference implementations ---------------------------------------------------
+# The straightforward forms the indexed code must agree with: every compound
+# rule tried at every position, and the clitic gate's vocabulary built as the
+# set union of the variant keys and every ontology's surface vocabulary.
+
+def reference_merge_compounds(tokens, tables):
+    out = []
+    i = 0
+    while i < len(tokens):
+        matched = None
+        for rule in tables.compounds:
+            n = len(rule.parts)
+            if tuple(t.surface for t in tokens[i:i + n]) == rule.parts:
+                matched = rule
+                break
+        if matched is None:
+            out.append(tokens[i])
+            i += 1
+            continue
+        n = len(matched.parts)
+        trace = tuple(dict.fromkeys(s for t in tokens[i:i + n] for s in t.trace))
+        out.append(
+            Token(
+                matched.replacement,
+                (tokens[i].span[0], tokens[i + n - 1].span[1]),
+                trace + ("compound",),
+            )
+        )
+        i += n
+    return out
+
+
+def reference_vocabulary(tables, ontologies):
+    vocabulary = set(tables.variants)
+    for ontology in ontologies:
+        vocabulary.update(ontology.surface_vocabulary())
+    return vocabulary
+
+
+def reference_normalize(raw, tables, *ontologies):
+    tokens = expand_clitics(tokenize(raw), tables, reference_vocabulary(tables, ontologies))
+    final = []
+    for token in reference_merge_compounds(tokens, tables):
+        base = radicalize(token.surface, tables)
+        if base != token.surface:
+            token = Token(base, token.span, token.trace + (f"variant:{token.surface}",))
+        final.append(token)
+    return NormalizedUtterance(id=raw.id, tokens=tuple(final))
 
 
 @pytest.fixture(scope="module")
@@ -33,10 +86,7 @@ def ontologies():
 
 @pytest.fixture(scope="module")
 def vocabulary(tables, ontologies):
-    vocab = set(tables.variants)
-    for ontology in ontologies:
-        vocab.update(ontology.surface_vocabulary())
-    return vocab
+    return reference_vocabulary(tables, ontologies)
 
 
 def surfaces(tokens):
@@ -203,6 +253,93 @@ def test_merged_surface_comes_from_replacement_column(tables):
     for token in merge_compounds(tokens, tables):
         if "compound" in token.trace:
             assert token.surface in replacements
+
+
+def test_compound_rule_with_no_parts_rejected():
+    # it would match everywhere without consuming a token
+    with pytest.raises(ValueError, match=re.escape("CompoundRule(parts=(), replacement='x')")):
+        NormalizationTables(compounds=(CompoundRule(("a", "b"), "a_b"), CompoundRule((), "x")))
+
+
+def test_empty_compound_parts_reported_by_load(tmp_path):
+    path = tmp_path / "tables.json"
+    path.write_text(
+        json.dumps({"format_version": 1, "compounds": [{"parts": [], "replacement": "x"}]}),
+        encoding="utf-8",
+    )
+    with pytest.raises(TablesError, match="needs at least two parts"):
+        load_tables(path)
+
+
+def test_compound_index_stays_out_of_equality_and_repr():
+    rules = (CompoundRule(("A", "B"), "A_B"), CompoundRule(("C", "D"), "C_D"))
+    tables = NormalizationTables(compounds=rules)
+    assert tables == NormalizationTables(compounds=rules) != NormalizationTables()
+    assert repr(tables) == (
+        "NormalizationTables(compounds=(CompoundRule(parts=('A', 'B'), replacement='A_B'), "
+        "CompoundRule(parts=('C', 'D'), replacement='C_D')), clitics=(), variants={})"
+    )
+
+
+# Small alphabets so that generated rules share first parts, clitic remainders
+# hit the vocabulary, and one surface sits in one ontology, both, or only in
+# the variant table.
+SURFACES = ("a", "b", "c", "la", "lb", "mna", "x")
+surface = st.sampled_from(SURFACES)
+compound_rules = st.builds(
+    CompoundRule,
+    st.lists(surface, min_size=1, max_size=3).map(tuple),
+    st.sampled_from(("R1", "R2", "a", "x")),
+)
+generated_tables = st.builds(
+    NormalizationTables,
+    compounds=st.lists(compound_rules, max_size=8).map(tuple),
+    clitics=st.lists(
+        st.builds(
+            CliticRule,
+            st.sampled_from(("l", "m", "mn")),
+            st.lists(st.sampled_from(("Ily", "mn")), min_size=1, max_size=2).map(tuple),
+        ),
+        max_size=3,
+    ).map(tuple),
+    variants=st.dictionaries(surface, surface, max_size=3),
+)
+
+
+@st.composite
+def generated_ontology(draw):
+    instances = draw(st.sets(surface, max_size=4))
+    triggers = draw(st.sets(surface, max_size=2))
+    return Ontology(
+        concepts=(Concept("C", "domain"),),
+        instances=tuple(Instance(s, frozenset({"C"})) for s in instances),
+        relations=(Relation("rel", frozenset(triggers), "C", "C"),),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tables=generated_tables,
+    surfaces=st.lists(surface, max_size=8),
+    traced=st.lists(st.booleans(), min_size=8, max_size=8),
+)
+def test_property_indexed_merge_matches_linear_scan(tables, surfaces, traced):
+    tokens = [
+        Token(s, (2 * i, 2 * i + 1), ("clitic:l",) if traced[i] else ())
+        for i, s in enumerate(surfaces)
+    ]
+    assert merge_compounds(tokens, tables) == reference_merge_compounds(tokens, tables)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tables=generated_tables,
+    ontologies=st.lists(generated_ontology(), min_size=0, max_size=2),
+    words=st.lists(st.sampled_from(SURFACES + ("lx", "mnb", "mc", "a?")), max_size=8),
+)
+def test_property_normalize_matches_set_union_vocabulary(tables, ontologies, words):
+    raw = RawUtterance("u", " ".join(words))
+    assert normalize(raw, tables, *ontologies) == reference_normalize(raw, tables, *ontologies)
 
 
 # -- radicalization -----------------------------------------------------------------

@@ -66,6 +66,16 @@ def test_lookup_relations(merged):
     assert merged.lookup_relations("twns") == frozenset()
 
 
+def test_knows_surface_agrees_with_surface_vocabulary(merged):
+    vocabulary = merged.surface_vocabulary()
+    assert {"twns", "Ily", "klAs"} <= vocabulary
+    for surface in vocabulary | {"zzz_unknown", ""}:
+        assert merged.knows_surface(surface) == (surface in vocabulary), surface
+    # an instance that maps to no concept is still a known surface
+    bare = Ontology(concepts=(Concept("A", "domain"),), instances=(Instance("w", frozenset()),))
+    assert bare.knows_surface("w") and bare.surface_vocabulary() == {"w"}
+
+
 def test_lookup_is_pure(merged):
     first = merged.lookup_concepts("twns")
     second = merged.lookup_concepts("twns")
