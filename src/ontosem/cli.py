@@ -252,9 +252,6 @@ def main(argv: list[str] | None = None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
-    except FileNotFoundError as err:
-        _info(f"ontosem: file not found: {err.filename}")
-        return EXIT_INPUT
     except OSError as err:
         _info(f"ontosem: {err.filename}: {err.strerror}" if err.filename else f"ontosem: {err}")
         return EXIT_INPUT

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from ._input import read
 from .annotate import SEMANTIC_RELATION_LABEL
 from .normalize import RawUtterance
 from .ontology import Ontology
@@ -57,19 +58,12 @@ class CorpusStats:
     avg_words_per_utterance: float | None
 
 
-def _read_lines(path: Path) -> list[str]:
-    try:
-        return path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as err:
-        raise CorpusFormatError(f"{path}: not UTF-8: {err.reason} at byte {err.start}") from None
-
-
 def load_utterances(path: str | Path) -> list[RawUtterance]:
     """Read a raw corpus file; rejects malformed lines and duplicate ids."""
     path = Path(path)
     utterances: list[RawUtterance] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(read(path, CorpusFormatError, str.splitlines), 1):
         if not line.strip() or line.startswith("#"):
             continue
         if "\t" not in line:
@@ -94,7 +88,7 @@ def load_gold(path: str | Path, ontology: Ontology | None = None) -> dict[str, G
     path = Path(path)
     reserved = {SEMANTIC_RELATION_LABEL, OOV_LABEL}
     grouped: dict[str, list[GoldToken]] = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(read(path, CorpusFormatError, str.splitlines), 1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")

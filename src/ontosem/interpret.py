@@ -57,6 +57,12 @@ class InterpretedUtterance:
         )
 
 
+def _prefers_left(tie_break: str) -> bool:
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
+    return tie_break == "left"
+
+
 def resolve_token(
     index: int,
     annotated: AnnotatedUtterance,
@@ -70,10 +76,8 @@ def resolve_token(
     RESOLVED resolution naming the winning relation and its marker position,
     or UNRESOLVED with the surviving candidate set.
     """
-    if tie_break not in TIE_BREAKS:
-        raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
+    preferred_left = _prefers_left(tie_break)
     candidates = annotated.tokens[index].labels
-    preferred_left = tie_break == "left"
 
     markers = [
         j
@@ -104,8 +108,9 @@ def interpret(
 
     Unambiguous tokens pass through unchanged. The result records one
     Resolution per token position; the consumed marker occurrences follow
-    from those.
+    from those. `tie_break` is checked on entry, even with no ambiguous token.
     """
+    _prefers_left(tie_break)
     ontology = ontologies[0] if len(ontologies) == 1 else merge(*ontologies)
     consumed: set[int] = set()
     tokens: list[TokenAnnotation] = []
@@ -142,5 +147,6 @@ def interpret(
 def interpret_all(
     utterances: Iterable[AnnotatedUtterance], *ontologies: Ontology, tie_break: str = "left"
 ) -> list[InterpretedUtterance]:
+    _prefers_left(tie_break)
     ontology = ontologies[0] if len(ontologies) == 1 else merge(*ontologies)
     return [interpret(u, ontology, tie_break=tie_break) for u in utterances]

@@ -32,11 +32,11 @@ output changes nothing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Container, Iterable, Sequence
 
+from ._input import read, reader
 from .buckwalter import transliterate
 from .ontology import Ontology
 
@@ -149,65 +149,47 @@ class _KnownSurfaces:
 def load_tables(path: str | Path) -> NormalizationTables:
     """Parse and check a normalization tables file.
 
-    Raises TablesError for bytes that are not UTF-8 (message carries the byte
-    offset), bad JSON (message carries line/column) or schema
-    (compounds and clitics must be arrays of objects whose parts and expansion
-    are arrays of strings; variants must be an object), and for invariant
-    violations: compound entries with fewer than two parts, duplicate compound
-    part sequences, empty clitic rules, or a variant table that is not
-    idempotent (chained entries a->b->c).
+    Raises TablesError for bytes that are not UTF-8, bad JSON or a section or
+    field of the wrong JSON type, and for invariant violations: compound
+    entries with fewer than two parts, duplicate compound part sequences,
+    empty clitic rules, a variant table that is not idempotent (chained
+    entries a->b->c), or a compound part that is another surface's variant base.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as err:
-        raise TablesError(f"{path}: not UTF-8: {err.reason} at byte {err.start}") from None
-    except json.JSONDecodeError as err:
-        raise TablesError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
-    if not isinstance(doc, dict):
-        raise TablesError(f"{path}: top level must be an object")
-    if doc.get("format_version") != 1:
-        raise TablesError(f"{path}: unsupported format_version {doc.get('format_version')!r}")
-
-    def records(key: str) -> list[dict]:
-        value = doc.get(key, [])
-        if not isinstance(value, list) or any(not isinstance(r, dict) for r in value):
-            raise TablesError(f"{path}: {key!r} must be an array of objects")
-        return value
-
-    def strings(record: dict, key: str, where: str) -> tuple[str, ...]:
-        value = record.get(key, [])
-        if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-            raise TablesError(f"{path}: {where} {key!r} must be an array of strings")
-        return tuple(value)
+    doc = read(path, TablesError)
+    records, field = reader(doc, str(path), TablesError)
+    variants = doc.get("variants", {})
+    if not isinstance(variants, dict):
+        raise TablesError(f"{path}: 'variants' must be an object")
+    variants = {original: field(variants, original, "variant") for original in variants}
+    bases = {base: original for original, base in sorted(variants.items()) if base != original}
 
     findings: list[str] = []
     compounds: list[CompoundRule] = []
     seen_parts: set[tuple[str, ...]] = set()
     for record in records("compounds"):
-        parts = strings(record, "parts", "compound")
-        replacement = str(record.get("replacement", "_".join(parts)))
+        parts = field(record, "parts", "compound", (), array=True)
+        replacement = field(record, "replacement", "compound", "_".join(parts))
         if len(parts) < 2:
             findings.append(f"compound {parts!r} needs at least two parts")
         if parts in seen_parts:
             findings.append(f"compound {parts!r} declared more than once")
         seen_parts.add(parts)
+        for part in parts:
+            if part in bases:
+                findings.append(f"compound {parts!r} part {part!r} is the base of variant {bases[part]!r}")
         compounds.append(CompoundRule(parts, replacement))
 
     clitics: list[CliticRule] = []
     for record in records("clitics"):
-        prefix = str(record.get("prefix", ""))
-        expansion = strings(record, "expansion", "clitic")
+        prefix = field(record, "prefix", "clitic", "")
+        expansion = field(record, "expansion", "clitic", (), array=True)
         if not prefix:
             findings.append("clitic rule with empty prefix")
         if not expansion:
             findings.append(f"clitic rule {prefix!r} with empty expansion")
         clitics.append(CliticRule(prefix, expansion))
 
-    variants = doc.get("variants", {})
-    if not isinstance(variants, dict):
-        raise TablesError(f"{path}: 'variants' must be an object")
-    variants = {str(k): str(v) for k, v in variants.items()}
     for original, base in sorted(variants.items()):
         if variants.get(base, base) != base:
             findings.append(f"variant chain {original!r} -> {base!r} -> {variants[base]!r}")

@@ -29,6 +29,7 @@ import json
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
+from ._input import FORMAT_VERSION, read, reader
 from .ontology import (
     Concept,
     Finding,
@@ -39,8 +40,6 @@ from .ontology import (
     TaxonomyEdge,
     validate,
 )
-
-FORMAT_VERSION = 1
 
 _RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 _RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -63,18 +62,11 @@ class OntologyValidationError(ValueError):
 def parse_ontology_file(path: str | Path) -> Ontology:
     """Parse a native ontology file without validating model invariants.
 
-    Raises OntologyFormatError for unparseable or schema-violating documents;
-    the message carries the path, and the line/column for JSON syntax errors
-    or the byte offset for bytes that are not UTF-8.
+    Raises OntologyFormatError, naming the file, for bytes that are not
+    UTF-8, bad JSON, or a section or field of the wrong JSON type.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as err:
-        raise OntologyFormatError(f"{path}: not UTF-8: {err.reason} at byte {err.start}") from None
-    except json.JSONDecodeError as err:
-        raise OntologyFormatError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
-    return ontology_from_document(doc, source=str(path))
+    return ontology_from_document(read(path, OntologyFormatError), source=str(path))
 
 
 def load_ontology(path: str | Path) -> Ontology:
@@ -93,60 +85,40 @@ def load_ontology(path: str | Path) -> Ontology:
 
 def ontology_from_document(doc: object, source: str = "<document>") -> Ontology:
     """Build an (unvalidated) Ontology from a parsed native document."""
-    if not isinstance(doc, dict):
-        raise OntologyFormatError(f"{source}: top level must be an object")
-    version = doc.get("format_version")
-    if version is None:
-        raise OntologyFormatError(f"{source}: missing required field 'format_version'")
-    if version != FORMAT_VERSION:
-        raise OntologyFormatError(
-            f"{source}: unsupported format_version {version!r} (expected {FORMAT_VERSION})"
-        )
+    records, field = reader(doc, source, OntologyFormatError)
     default_kind = doc.get("kind")
     if default_kind not in KINDS:
         raise OntologyFormatError(
             f"{source}: 'kind' must be one of {list(KINDS)}, got {default_kind!r}"
         )
-
-    def records(key: str) -> list[dict]:
-        value = doc.get(key, [])
-        if not isinstance(value, list) or any(not isinstance(r, dict) for r in value):
-            raise OntologyFormatError(f"{source}: {key!r} must be an array of objects")
-        return value
-
-    def require(record: dict, key: str, where: str) -> object:
-        if key not in record:
-            raise OntologyFormatError(f"{source}: {where} record missing {key!r}")
-        return record[key]
-
     concepts = tuple(
         Concept(
-            name=str(require(r, "name", "concept")),
-            kind=str(r.get("kind", default_kind)),
-            gloss=r.get("gloss"),
+            name=field(r, "name", "concept"),
+            kind=field(r, "kind", "concept", default_kind),
+            gloss=field(r, "gloss", "concept", None),
         )
         for r in records("concepts")
     )
     taxonomy = tuple(
         TaxonomyEdge(
-            child=str(require(r, "child", "taxonomy")),
-            parent=str(require(r, "parent", "taxonomy")),
+            child=field(r, "child", "taxonomy"),
+            parent=field(r, "parent", "taxonomy"),
         )
         for r in records("taxonomy")
     )
     instances = tuple(
         Instance(
-            surface=str(require(r, "surface", "instance")),
-            concepts=frozenset(str(c) for c in require(r, "concepts", "instance")),
+            surface=field(r, "surface", "instance"),
+            concepts=field(r, "concepts", "instance", array=True),
         )
         for r in records("instances")
     )
     relations = tuple(
         Relation(
-            id=str(require(r, "id", "relation")),
-            triggers=frozenset(str(t) for t in require(r, "triggers", "relation")),
-            source=str(require(r, "source", "relation")),
-            target=str(require(r, "target", "relation")),
+            id=field(r, "id", "relation"),
+            triggers=field(r, "triggers", "relation", array=True),
+            source=field(r, "source", "relation"),
+            target=field(r, "target", "relation"),
         )
         for r in records("relations")
     )

@@ -189,6 +189,15 @@ def test_non_utf8_file_named_in_diagnostic(out, tmp_path, capsys, option):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("option", ["--domain", "--task", "--tables"])
+def test_deeply_nested_json_exits_1_naming_file(out, tmp_path, capsys, option):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")  # beyond the parser's recursion limit
+    argv = ["interpret", option, str(deep), "--in", str(samples.corpus_path())]
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ontosem: {deep}: JSON nested too deeply\n"
+
+
 def test_directory_input_exits_1_naming_path(out, tmp_path, capsys):
     assert run(["annotate", "--in", str(tmp_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -201,6 +210,65 @@ def test_malformed_tables_exits_1(out, tmp_path, capsys):
     argv = ["annotate", "--tables", str(tables), "--in", str(samples.corpus_path())]
     assert run(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"ontosem: {tables}: 'variants' must be an object\n"
+
+
+def _bundled_with(option, tmp_path, mutate):
+    source = {"--domain": samples.domain_ontology_path(), "--tables": samples.tables_path()}[option]
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    mutate(doc)
+    path = tmp_path / source.name
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    return path
+
+
+def _set_relation(relation_id, key, value):
+    def mutate(doc):
+        next(r for r in doc["relations"] if r["id"] == relation_id)[key] = value
+    return mutate
+
+
+# one field of a bundled file replaced by a value of the wrong JSON type; unchecked,
+# these crashed, split a string into letters, or loaded as str(value)
+@pytest.mark.parametrize(
+    "option, mutate, message, commands",
+    [
+        ("--domain", lambda d: d["instances"][0].update(concepts=5),
+         "instance 'concepts' must be an array of strings", ("eval", "validate", "export-owl")),
+        ("--domain", _set_relation("rel_class", "triggers", "Ily"),
+         "relation 'triggers' must be an array of strings", ("eval", "validate", "export-owl")),
+        ("--domain", lambda d: d["instances"][0].update(surface=["a"]),
+         "instance 'surface' must be a string", ("eval", "validate", "export-owl")),
+        ("--domain", lambda d: d["concepts"][0].update(gloss=["a"]),
+         "concept 'gloss' must be a string", ("eval", "validate", "export-owl")),
+        ("--tables", lambda d: d["compounds"][0].update(replacement=["x"]),
+         "compound 'replacement' must be a string", ("eval",)),
+        ("--tables", lambda d: d["variants"].update(AltrAn=["OtrAn"]),
+         "variant 'AltrAn' must be a string", ("eval",)),
+        ("--tables", lambda d: d["clitics"][0].update(prefix=5),
+         "clitic 'prefix' must be a string", ("eval",)),
+    ],
+)
+def test_wrongly_typed_field_exits_1_naming_file(out, tmp_path, capsys, option, mutate, message, commands):
+    path = _bundled_with(option, tmp_path, mutate)
+    corpus = ["--in", str(samples.corpus_path()), "--gold", str(samples.gold_path())]
+    for command in commands:
+        argv = [command, option, str(path), "--out", str(out)] + (corpus if command == "eval" else [])
+        assert run(argv) == 1, command
+        assert capsys.readouterr().err == f"ontosem: {path}: {message}\n", command
+
+
+def test_compound_part_that_is_a_variant_base_exits_2(out, tmp_path, capsys):
+    def mutate(doc):
+        doc["compounds"].append({"parts": ["OtrAn", "X"]})
+        doc["variants"]["trAn"] = "OtrAn"
+
+    path = _bundled_with("--tables", tmp_path, mutate)
+    argv = ["interpret", "--tables", str(path), "--in", str(samples.corpus_path())]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"ontosem: {path}: invalid tables: "
+        "compound ('OtrAn', 'X') part 'OtrAn' is the base of variant 'trAn'\n"
+    )
 
 
 def test_validate_shipped_ontologies(out, capsys):

@@ -156,6 +156,18 @@ def test_resolve_token_validates_tie_break(ontologies):
         resolve_token(0, annotated, merge(*ontologies), set(), tie_break="sideways")
 
 
+def test_interpret_validates_tie_break_without_ambiguous_tokens(ontologies):
+    annotated = annotate_surfaces(["OtrAn"], *ontologies)
+    assert annotated.tokens[0].status is not Status.AMBIGUOUS
+    with pytest.raises(ValueError, match="tie_break"):
+        interpret(annotated, *ontologies, tie_break="sideways")
+
+
+def test_interpret_all_validates_tie_break_on_empty_input(ontologies):
+    with pytest.raises(ValueError, match="tie_break"):
+        interpret_all([], *ontologies, tie_break="bogus")
+
+
 # -- properties ---------------------------------------------------------------------
 
 def test_soundness_and_consumption_on_shipped_corpus(ontologies, tables):

@@ -363,6 +363,25 @@ def test_variant_chain_rejected_at_load(tmp_path):
         load_tables(path)
 
 
+def test_compound_part_that_is_a_variant_base_rejected_at_load(tmp_path, ontologies):
+    # matched before variants are reduced, `trAn X` would normalize to
+    # [OtrAn, X], and that output again to [OtrAn_X]
+    doc = {"format_version": 1, "compounds": [{"parts": ["OtrAn", "X"]}], "variants": {"trAn": "OtrAn"}}
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(TablesError) as err:
+        load_tables(path)
+    assert err.value.findings == ["compound ('OtrAn', 'X') part 'OtrAn' is the base of variant 'trAn'"]
+
+    doc["compounds"] = [{"parts": ["trAn", "X"]}]  # a part that is a variant key is fine
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    tables = load_tables(path)
+    for text in ("trAn X", "OtrAn X"):
+        once = normalize(RawUtterance("u", text), tables, *ontologies)
+        again = normalize(RawUtterance("u", " ".join(once.surfaces())), tables, *ontologies)
+        assert again.surfaces() == once.surfaces()
+
+
 def test_single_part_compound_rejected(tmp_path):
     path = tmp_path / "tables.json"
     path.write_text(
@@ -382,6 +401,10 @@ def test_single_part_compound_rejected(tmp_path):
         ("clitics", {"prefix": "l"}, "'clitics' must be an array of objects"),
         ("clitics", [{"prefix": "l", "expansion": "Ily"}], "clitic 'expansion' must be an array of strings"),
         ("variants", [["a", "b"]], "'variants' must be an object"),
+        ("compounds", [{"parts": ["a", "b"], "replacement": ["x"]}], "compound 'replacement' must be a string"),
+        ("clitics", [{"prefix": 5, "expansion": ["Ily"]}], "clitic 'prefix' must be a string"),
+        ("variants", {"AltrAn": ["OtrAn"]}, "variant 'AltrAn' must be a string"),
+        ("variants", {"AltrAn": None}, "variant 'AltrAn' must be a string"),
     ],
 )
 def test_malformed_tables_schema_rejected(tmp_path, section, value, message):

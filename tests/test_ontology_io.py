@@ -50,6 +50,59 @@ def test_load_missing_format_version(tmp_path):
         load_ontology(path)
 
 
+def _set(section, index, key, value):
+    def mutate(doc):
+        doc[section][index][key] = value
+    return mutate
+
+
+def _relation(relation_id, key, value):
+    def mutate(doc):
+        next(r for r in doc["relations"] if r["id"] == relation_id)[key] = value
+    return mutate
+
+
+# the bundled domain ontology with one field replaced
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_set("instances", 0, "concepts", 5), "instance 'concepts' must be an array of strings"),
+        (_set("instances", 0, "concepts", ["Train", 5]), "instance 'concepts' must be an array of strings"),
+        (_set("instances", 0, "surface", ["a"]), "instance 'surface' must be a string"),
+        (_set("concepts", 0, "gloss", ["a"]), "concept 'gloss' must be a string"),
+        (_set("concepts", 0, "kind", None), "concept 'kind' must be a string"),
+        (_set("concepts", 0, "name", 7), "concept 'name' must be a string"),
+        (_set("taxonomy", 0, "parent", {}), "taxonomy 'parent' must be a string"),
+        (_relation("rel_class", "triggers", "Ily"), "relation 'triggers' must be an array of strings"),
+        (_relation("rel_class", "target", None), "relation 'target' must be a string"),
+        (lambda doc: doc["instances"][0].pop("surface"), "instance record missing 'surface'"),
+        (lambda doc: doc.pop("format_version"), "unsupported format_version None (expected 1)"),
+        (lambda doc: doc.__setitem__("relations", {}), "'relations' must be an array of objects"),
+    ],
+)
+def test_wrongly_typed_field_is_a_format_error(tmp_path, mutate, message):
+    doc = json.loads(samples.domain_ontology_path().read_text(encoding="utf-8"))
+    mutate(doc)
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(OntologyFormatError) as err:
+        load_ontology(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("gloss", [None, "absent"])
+def test_gloss_may_be_null_or_absent(tmp_path, gloss):
+    doc = json.loads(samples.domain_ontology_path().read_text(encoding="utf-8"))
+    if gloss is None:
+        doc["concepts"][0]["gloss"] = None
+    else:
+        doc["concepts"][0].pop("gloss", None)
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    name = doc["concepts"][0]["name"]
+    assert load_ontology(path).concept(name).gloss is None
+
+
 def test_load_invalid_ontology_embeds_findings(tmp_path):
     path = tmp_path / "broken.json"
     doc = {
