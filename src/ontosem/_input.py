@@ -4,17 +4,30 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 FORMAT_VERSION = 1
+
+# a JSON escape of a UTF-16 surrogate; only a text holding one can decode to
+# a string that is not valid Unicode (a lone surrogate cannot be written out)
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F][0-9a-fA-F]{2}")
 
 
 def read(path: Path, error: type[Exception], parse=json.loads):
     """`parse` (JSON by default) applied to the text of UTF-8 file `path`."""
     try:
-        return parse(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        doc = parse(text)
+        if _SURROGATE_ESCAPE.search(text):
+            # paired surrogates decode to one character; a lone one stays
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        return doc
     except UnicodeDecodeError as err:
         raise error(f"{path}: not UTF-8: {err.reason} at byte {err.start}") from None
+    except UnicodeEncodeError as err:
+        escape = f"\\u{ord(err.object[err.start]):04x}"
+        raise error(f"{path}: string escape {escape} is not valid Unicode (a lone surrogate)") from None
     except json.JSONDecodeError as err:
         raise error(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
     except RecursionError:
@@ -25,7 +38,8 @@ def reader(doc: object, source: str, error: type[Exception]):
     """Check the header of `doc`; return the readers of its sections and fields."""
     if not isinstance(doc, dict):
         raise error(f"{source}: top level must be an object")
-    if (version := doc.get("format_version")) != FORMAT_VERSION:
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:  # not true, not 1.0
         raise error(f"{source}: unsupported format_version {version!r} (expected {FORMAT_VERSION})")
 
     def records(key: str) -> list[dict]:

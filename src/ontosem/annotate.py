@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Iterable
 
 from .normalize import NormalizedUtterance
-from .ontology import Ontology
+from .ontology import EMPTY, Ontology
 
 logger = logging.getLogger(__name__)
 
@@ -29,7 +29,7 @@ class Status(str, Enum):
     NOT_RECOGNIZED = "not_recognized"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenAnnotation:
     surface: str
     labels: frozenset[str]
@@ -41,7 +41,7 @@ class TokenAnnotation:
         object.__setattr__(self, "relation_ids", frozenset(self.relation_ids))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedUtterance:
     id: str
     tokens: tuple[TokenAnnotation, ...]
@@ -59,11 +59,15 @@ def committed_label(token: TokenAnnotation) -> str | None:
 
 
 def annotate_token(surface: str, *ontologies: Ontology) -> TokenAnnotation:
-    labels: frozenset[str] = frozenset()
-    relation_ids: frozenset[str] = frozenset()
+    """Annotate one surface. The label and relation sets are the ontologies'
+    own index entries, or the shared EMPTY; a new set is built only when two
+    ontologies both know the surface."""
+    labels = relation_ids = EMPTY
     for ontology in ontologies:
-        labels |= ontology.lookup_concepts(surface)
-        relation_ids |= ontology.lookup_relations(surface)
+        if found := ontology.lookup_concepts(surface):
+            labels = labels | found if labels else found
+        if found := ontology.lookup_relations(surface):
+            relation_ids = relation_ids | found if relation_ids else found
 
     if relation_ids:
         if labels:
@@ -72,12 +76,12 @@ def annotate_token(surface: str, *ontologies: Ontology) -> TokenAnnotation:
             logger.warning(
                 "surface %r is both instance and relation trigger; treating as marker", surface
             )
-        return TokenAnnotation(surface, frozenset(), relation_ids, Status.RELATION_MARKER)
+        return TokenAnnotation(surface, EMPTY, relation_ids, Status.RELATION_MARKER)
     if len(labels) >= 2:
-        return TokenAnnotation(surface, labels, frozenset(), Status.AMBIGUOUS)
+        return TokenAnnotation(surface, labels, EMPTY, Status.AMBIGUOUS)
     if labels:
-        return TokenAnnotation(surface, labels, frozenset(), Status.LABELED)
-    return TokenAnnotation(surface, frozenset(), frozenset(), Status.NOT_RECOGNIZED)
+        return TokenAnnotation(surface, labels, EMPTY, Status.LABELED)
+    return TokenAnnotation(surface, EMPTY, EMPTY, Status.NOT_RECOGNIZED)
 
 
 def annotate(normalized: NormalizedUtterance, *ontologies: Ontology) -> AnnotatedUtterance:

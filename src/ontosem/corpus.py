@@ -38,20 +38,20 @@ class UnknownGoldLabelError(CorpusFormatError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoldToken:
     index: int
     surface: str
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoldUtterance:
     id: str
     tokens: tuple[GoldToken, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusStats:
     utterance_count: int
     word_count: int

@@ -16,10 +16,13 @@ consulted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, Sequence
 
 from .annotate import AnnotatedUtterance, Status, TokenAnnotation
-from .ontology import Ontology, merge
+# `merge` is no longer called here. The name stays because code that wraps
+# `ontosem.interpret.merge` by module attribute still looks it up:
+# `benchmarks/spans.py` does, and its `interpret.merge_calls` now reads 0.
+from .ontology import EMPTY, Ontology, UnknownRelationError, merge  # noqa: F401
 
 RESOLVED = "resolved"
 UNRESOLVED = "unresolved"
@@ -28,19 +31,19 @@ UNCHANGED = "unchanged"
 TIE_BREAKS = ("left", "right")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Resolution:
     """Outcome of interpreting one token position."""
 
     token_index: int
     outcome: str  # RESOLVED, UNRESOLVED or UNCHANGED
-    candidates: frozenset[str] = frozenset()
+    candidates: frozenset[str] = EMPTY
     label: str | None = None
     via_relation: str | None = None
     relation_token_index: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterpretedUtterance:
     id: str
     tokens: tuple[TokenAnnotation, ...]
@@ -63,15 +66,28 @@ def _prefers_left(tie_break: str) -> bool:
     return tie_break == "left"
 
 
+def _relation_target(relation_id: str, ontologies: Sequence[Ontology]) -> str:
+    """The target of `relation_id` in the first ontology declaring it: the
+    answer `merge(*ontologies).relation_target(relation_id)` gives, without
+    building the merged ontology."""
+    for ontology in ontologies:
+        relation = ontology._relation_by_id.get(relation_id)
+        if relation is not None:
+            return relation.target
+    raise UnknownRelationError(relation_id)
+
+
 def resolve_token(
     index: int,
     annotated: AnnotatedUtterance,
-    ontology: Ontology,
+    ontologies: Sequence[Ontology],
     consumed: AbstractSet[int],
     tie_break: str = "left",
 ) -> Resolution:
     """Resolve one ambiguous token against the nearest qualifying marker.
 
+    A relation's target is read from `ontologies` in order: the first that
+    declares the relation id wins, and none raises UnknownRelationError.
     `consumed` holds the token indexes of markers already used. Returns a
     RESOLVED resolution naming the winning relation and its marker position,
     or UNRESOLVED with the surviving candidate set.
@@ -88,7 +104,7 @@ def resolve_token(
 
     for j in markers:
         for relation_id in sorted(annotated.tokens[j].relation_ids):
-            target = ontology.relation_target(relation_id)
+            target = _relation_target(relation_id, ontologies)
             if target in candidates:
                 return Resolution(
                     token_index=index,
@@ -109,9 +125,10 @@ def interpret(
     Unambiguous tokens pass through unchanged. The result records one
     Resolution per token position; the consumed marker occurrences follow
     from those. `tie_break` is checked on entry, even with no ambiguous token.
+    The ontologies are consulted in order and never merged, so passing the
+    domain/task pair costs the same as passing their merge.
     """
     _prefers_left(tie_break)
-    ontology = ontologies[0] if len(ontologies) == 1 else merge(*ontologies)
     consumed: set[int] = set()
     tokens: list[TokenAnnotation] = []
     resolutions: list[Resolution] = []
@@ -123,7 +140,7 @@ def interpret(
                 Resolution(token_index=index, outcome=UNCHANGED, candidates=token.labels)
             )
             continue
-        resolution = resolve_token(index, annotated, ontology, consumed, tie_break=tie_break)
+        resolution = resolve_token(index, annotated, ontologies, consumed, tie_break=tie_break)
         resolutions.append(resolution)
         if resolution.outcome == RESOLVED:
             assert resolution.relation_token_index is not None
@@ -132,7 +149,7 @@ def interpret(
                 TokenAnnotation(
                     surface=token.surface,
                     labels=frozenset({resolution.label}),
-                    relation_ids=frozenset(),
+                    relation_ids=EMPTY,
                     status=Status.LABELED,
                 )
             )
@@ -148,5 +165,4 @@ def interpret_all(
     utterances: Iterable[AnnotatedUtterance], *ontologies: Ontology, tie_break: str = "left"
 ) -> list[InterpretedUtterance]:
     _prefers_left(tie_break)
-    ontology = ontologies[0] if len(ontologies) == 1 else merge(*ontologies)
-    return [interpret(u, ontology, tie_break=tie_break) for u in utterances]
+    return [interpret(u, *ontologies, tie_break=tie_break) for u in utterances]

@@ -54,13 +54,13 @@ class TablesError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawUtterance:
     id: str
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """A normalized token with its character range in the raw text.
 
@@ -74,7 +74,7 @@ class Token:
     trace: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizedUtterance:
     id: str
     tokens: tuple[Token, ...]
@@ -83,19 +83,19 @@ class NormalizedUtterance:
         return [token.surface for token in self.tokens]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompoundRule:
     parts: tuple[str, ...]
     replacement: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CliticRule:
     prefix: str
     expansion: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizationTables:
     """Normalization rules, with precedence fixed at construction: compounds
     longest first (ties keep declaration order), clitics longest prefix first
@@ -153,7 +153,9 @@ def load_tables(path: str | Path) -> NormalizationTables:
     field of the wrong JSON type, and for invariant violations: compound
     entries with fewer than two parts, duplicate compound part sequences,
     empty clitic rules, a variant table that is not idempotent (chained
-    entries a->b->c), or a compound part that is another surface's variant base.
+    entries a->b->c), or a compound part that is another surface's variant
+    base or a compound's replacement (either would make a second
+    normalization merge again).
     """
     path = Path(path)
     doc = read(path, TablesError)
@@ -179,6 +181,15 @@ def load_tables(path: str | Path) -> NormalizationTables:
             if part in bases:
                 findings.append(f"compound {parts!r} part {part!r} is the base of variant {bases[part]!r}")
         compounds.append(CompoundRule(parts, replacement))
+    replaced = {}
+    for rule in compounds:
+        replaced.setdefault(rule.replacement, rule.parts)
+    for rule in compounds:
+        for part in rule.parts:
+            if part in replaced:
+                findings.append(
+                    f"compound {rule.parts!r} part {part!r} is the replacement of compound {replaced[part]!r}"
+                )
 
     clitics: list[CliticRule] = []
     for record in records("clitics"):

@@ -24,6 +24,10 @@ KINDS = (DOMAIN, TASK)
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
+# the one empty set every lookup miss returns and every token without labels
+# or relations holds, so a miss allocates nothing
+EMPTY: frozenset[str] = frozenset()
+
 
 class UnknownConceptError(KeyError):
     """Raised when a concept name is not declared in the ontology."""
@@ -33,20 +37,20 @@ class UnknownRelationError(KeyError):
     """Raised when a relation id does not resolve; signals a corrupted reference."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Concept:
     name: str
     kind: str
     gloss: str | None = None
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TaxonomyEdge:
     child: str
     parent: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     surface: str
     concepts: frozenset[str]
@@ -55,7 +59,7 @@ class Instance:
         object.__setattr__(self, "concepts", frozenset(self.concepts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
     id: str
     triggers: frozenset[str]
@@ -66,7 +70,7 @@ class Relation:
         object.__setattr__(self, "triggers", frozenset(self.triggers))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finding:
     """One violated invariant reported by validate()."""
 
@@ -159,11 +163,11 @@ class Ontology:
 
     def lookup_concepts(self, surface: str) -> frozenset[str]:
         """Concept labels instantiated by a normalized surface form (may be empty)."""
-        return self._instances_by_surface.get(surface, frozenset())
+        return self._instances_by_surface.get(surface, EMPTY)
 
     def lookup_relations(self, surface: str) -> frozenset[str]:
         """Ids of relations triggered by a normalized surface form (may be empty)."""
-        return self._relations_by_trigger.get(surface, frozenset())
+        return self._relations_by_trigger.get(surface, EMPTY)
 
     def relation(self, relation_id: str) -> Relation:
         try:

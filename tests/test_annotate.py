@@ -2,6 +2,7 @@ import logging
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ontosem import samples
 from ontosem.annotate import (
@@ -13,7 +14,7 @@ from ontosem.annotate import (
     committed_label,
 )
 from ontosem.normalize import NormalizedUtterance, RawUtterance, Token, normalize
-from ontosem.ontology import Concept, Instance, Ontology, Relation
+from ontosem.ontology import EMPTY, Concept, Instance, Ontology, Relation
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +143,51 @@ def test_three_plus_candidate_labels_allowed():
 def test_committed_label_per_status(status, labels, relation_ids, expected):
     token = TokenAnnotation("w", frozenset(labels), frozenset(relation_ids), status)
     assert committed_label(token) == expected
+
+
+# -- shared label sets ----------------------------------------------------------------
+
+def reference_annotate_token(surface, *ontologies):
+    """annotate_token as it was: fresh unions of every ontology's sets."""
+    labels = frozenset()
+    relation_ids = frozenset()
+    for ontology in ontologies:
+        labels |= ontology.lookup_concepts(surface)
+        relation_ids |= ontology.lookup_relations(surface)
+    if relation_ids:
+        return TokenAnnotation(surface, frozenset(), relation_ids, Status.RELATION_MARKER)
+    if len(labels) >= 2:
+        return TokenAnnotation(surface, labels, frozenset(), Status.AMBIGUOUS)
+    if labels:
+        return TokenAnnotation(surface, labels, frozenset(), Status.LABELED)
+    return TokenAnnotation(surface, frozenset(), frozenset(), Status.NOT_RECOGNIZED)
+
+
+SURFACES = ("a", "b", "c")
+generated_ontology = st.builds(
+    lambda instances, relations: Ontology(
+        concepts=tuple(Concept(c, "domain") for c in "ABC"),
+        instances=tuple(Instance(s, labels) for s, labels in instances.items()),
+        relations=tuple(Relation(i, triggers, "A", "B") for i, triggers in relations.items()),
+    ),
+    st.dictionaries(st.sampled_from(SURFACES), st.frozensets(st.sampled_from("ABC"), min_size=1)),
+    st.dictionaries(st.sampled_from(("r1", "r2")), st.frozensets(st.sampled_from(SURFACES), min_size=1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ontologies=st.lists(generated_ontology, max_size=3), surface=st.sampled_from(SURFACES + ("z",)))
+def test_property_annotate_token_equals_fresh_unions(ontologies, surface):
+    # a surface may be both instance and trigger here, which logs a warning
+    assert annotate_token(surface, *ontologies) == reference_annotate_token(surface, *ontologies)
+
+
+def test_annotate_token_shares_the_index_sets(ontologies):
+    domain, task = ontologies
+    time_question = annotate_token("wqtA$", *ontologies)  # known to one ontology only
+    assert not (domain.lookup_concepts("wqtA$") and task.lookup_concepts("wqtA$"))
+    known = domain.lookup_concepts("wqtA$") or task.lookup_concepts("wqtA$")
+    assert time_question.labels is known
+    assert time_question.relation_ids is EMPTY
+    unknown = annotate_token("zzz", *ontologies)
+    assert unknown.labels is EMPTY and unknown.relation_ids is EMPTY

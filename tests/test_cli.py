@@ -271,6 +271,21 @@ def test_compound_part_that_is_a_variant_base_exits_2(out, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["export-owl", "validate", "eval"])
+def test_lone_surrogate_escape_exits_1_naming_file(out, tmp_path, capsys, command):
+    # valid JSON, but a string that cannot be written out as UTF-8
+    doc = json.loads(samples.domain_ontology_path().read_text(encoding="utf-8"))
+    doc["concepts"][0]["gloss"] = "\ud800"
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # ASCII: the escape stays an escape
+    corpus = ["--in", str(samples.corpus_path()), "--gold", str(samples.gold_path())]
+    argv = [command, "--domain", str(path), "--out", str(out)] + (corpus if command == "eval" else [])
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"ontosem: {path}: string escape \\ud800 is not valid Unicode (a lone surrogate)\n"
+    )
+
+
 def test_validate_shipped_ontologies(out, capsys):
     assert run(["validate", "--out", str(out)]) == 0
     assert json.loads(out.read_text(encoding="utf-8")) == []

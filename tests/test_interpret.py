@@ -1,4 +1,7 @@
+import importlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     SYNTH,
@@ -8,7 +11,7 @@ from conftest import (
     oracle_resolve,
 )
 from ontosem import samples
-from ontosem.annotate import Status, annotate
+from ontosem.annotate import AnnotatedUtterance, Status, TokenAnnotation, annotate, annotate_all
 from ontosem.interpret import (
     RESOLVED,
     UNCHANGED,
@@ -17,8 +20,8 @@ from ontosem.interpret import (
     interpret_all,
     resolve_token,
 )
-from ontosem.normalize import RawUtterance, normalize
-from ontosem.ontology import merge
+from ontosem.normalize import RawUtterance, normalize, normalize_all
+from ontosem.ontology import Concept, Ontology, Relation, UnknownRelationError, merge
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +156,7 @@ def test_repeated_marker_surfaces_are_distinct_occurrences():
 def test_resolve_token_validates_tie_break(ontologies):
     annotated = annotate_surfaces(["twns"], *ontologies)
     with pytest.raises(ValueError, match="tie_break"):
-        resolve_token(0, annotated, merge(*ontologies), set(), tie_break="sideways")
+        resolve_token(0, annotated, ontologies, set(), tie_break="sideways")
 
 
 def test_interpret_validates_tie_break_without_ambiguous_tokens(ontologies):
@@ -208,3 +211,82 @@ def test_interpret_matches_oracle_on_enumeration():
                 for r in interpreted.resolutions
             ]
             assert got == expected, (surfaces, tie_break)
+
+
+# -- no merge per call ----------------------------------------------------------------
+# `interpret` reads each relation's target from the ontologies in order; the
+# answer must be the one the merged ontology gives, including which of two
+# conflicting declarations wins and when no ontology declares the id.
+
+CONCEPTS = ("A", "B", "C")
+
+
+@st.composite
+def ontology_pair(draw):
+    """`shared` is declared in both ontologies (targets drawn apart, so they
+    may differ), `second` only in the second, `first` only in the first; an
+    id may be declared twice in one ontology."""
+    target = st.sampled_from(CONCEPTS)
+
+    def ontology(ids, always):
+        relation = st.builds(
+            Relation, st.sampled_from(ids), st.frozensets(st.sampled_from(("m", "n")), min_size=1),
+            st.just("A"), target,
+        )
+        relations = draw(st.lists(relation, max_size=4))
+        relations += [Relation(i, frozenset({"m"}), "A", draw(target)) for i in always]
+        return Ontology(tuple(Concept(c, "domain") for c in CONCEPTS), relations=tuple(relations))
+
+    return ontology(("shared", "first"), ("shared",)), ontology(("shared", "second"), ("shared", "second"))
+
+
+token_annotation = st.one_of(
+    st.frozensets(st.sampled_from(CONCEPTS), min_size=2).map(
+        lambda labels: TokenAnnotation("amb", labels, frozenset(), Status.AMBIGUOUS)
+    ),
+    # `nowhere` is declared by neither ontology
+    st.frozensets(st.sampled_from(("shared", "first", "second", "nowhere")), min_size=1).map(
+        lambda ids: TokenAnnotation("m", frozenset(), ids, Status.RELATION_MARKER)
+    ),
+    st.just(TokenAnnotation("x", frozenset({"A"}), frozenset(), Status.LABELED)),
+)
+
+
+def outcome(function, *args, **kwargs):
+    try:
+        return function(*args, **kwargs)
+    except UnknownRelationError as err:
+        return ("UnknownRelationError", err.args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pair=ontology_pair(),
+    tokens=st.lists(token_annotation, max_size=6),
+    tie_break=st.sampled_from(("left", "right")),
+)
+def test_property_interpret_pair_equals_interpret_merged(pair, tokens, tie_break):
+    annotated = AnnotatedUtterance("u", tuple(tokens))
+    merged = merge(*pair)
+    assert outcome(interpret, annotated, *pair, tie_break=tie_break) == outcome(
+        interpret, annotated, merged, tie_break=tie_break
+    )
+    assert outcome(interpret_all, [annotated], *pair, tie_break=tie_break) == outcome(
+        interpret_all, [annotated], merged, tie_break=tie_break
+    )
+
+
+def test_interpret_never_merges(ontologies, tables, monkeypatch):
+    normalized = normalize_all(samples.load_sample_corpus(), tables, *ontologies)
+    annotated = annotate_all(normalized, *ontologies)
+    expected = interpret_all(annotated, merge(*ontologies))
+
+    def no_merge(*args):
+        raise AssertionError("interpret merged the ontologies")
+
+    monkeypatch.setattr(importlib.import_module("ontosem.interpret"), "merge", no_merge)
+    assert interpret_all(annotated, *ontologies) == expected
+    assert [interpret(a, *ontologies) for a in annotated] == expected
+    assert interpret_all(annotated, *ontologies, tie_break="right") == interpret_all(
+        annotated, merge(*ontologies), tie_break="right"
+    )

@@ -382,6 +382,43 @@ def test_compound_part_that_is_a_variant_base_rejected_at_load(tmp_path, ontolog
         assert again.surfaces() == once.surfaces()
 
 
+@pytest.mark.parametrize(
+    "compounds, text, finding",
+    [
+        # `a b e` would normalize to [c, e], and that again to [c_e]
+        ([{"parts": ["a", "b"], "replacement": "c"}, {"parts": ["c", "e"]}],
+         "a b e", "compound ('c', 'e') part 'c' is the replacement of compound ('a', 'b')"),
+        # `x a b` would normalize to [x, c], and that again to [y]
+        ([{"parts": ["a", "b"], "replacement": "c"}, {"parts": ["x", "c"], "replacement": "y"}],
+         "x a b", "compound ('x', 'c') part 'c' is the replacement of compound ('a', 'b')"),
+    ],
+)
+def test_compound_part_that_is_a_replacement_rejected_at_load(
+    tmp_path, ontologies, compounds, text, finding
+):
+    rules = [CompoundRule(tuple(c["parts"]), c.get("replacement", "_".join(c["parts"]))) for c in compounds]
+    tables = NormalizationTables(tuple(rules))
+    once = normalize(RawUtterance("u", text), tables, *ontologies)
+    again = normalize(RawUtterance("u", " ".join(once.surfaces())), tables, *ontologies)
+    assert again.surfaces() != once.surfaces()  # the hole the check closes
+
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps({"format_version": 1, "compounds": compounds}), encoding="utf-8")
+    with pytest.raises(TablesError) as err:
+        load_tables(path)
+    assert err.value.findings == [finding]
+
+
+@pytest.mark.parametrize("version, shown", [(True, "True"), (1.0, "1.0")])
+def test_tables_format_version_must_be_the_integer_1(tmp_path, version, shown):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps({"format_version": version}), encoding="utf-8")
+    with pytest.raises(TablesError) as err:
+        load_tables(path)
+    assert str(err.value) == f"{path}: unsupported format_version {shown} (expected 1)"
+    assert err.value.findings == []
+
+
 def test_single_part_compound_rejected(tmp_path):
     path = tmp_path / "tables.json"
     path.write_text(

@@ -43,11 +43,42 @@ def test_load_unknown_format_version(tmp_path):
         load_ontology(path)
 
 
+@pytest.mark.parametrize("version, shown", [(True, "True"), (1.0, "1.0")])
+def test_format_version_must_be_the_integer_1(tmp_path, version, shown):
+    # `true == 1` and `1.0 == 1` in Python, but neither is the JSON integer 1
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"format_version": version, "kind": "domain"}), encoding="utf-8")
+    with pytest.raises(OntologyFormatError) as err:
+        load_ontology(path)
+    assert str(err.value) == f"{path}: unsupported format_version {shown} (expected 1)"
+
+
 def test_load_missing_format_version(tmp_path):
     path = tmp_path / "bare.json"
     path.write_text(json.dumps({"kind": "domain"}), encoding="utf-8")
     with pytest.raises(OntologyFormatError, match="format_version"):
         load_ontology(path)
+
+
+def test_lone_surrogate_escape_is_a_format_error(tmp_path):
+    doc = json.loads(samples.domain_ontology_path().read_text(encoding="utf-8"))
+    doc["concepts"][0]["gloss"] = "\ud800"
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # ASCII: the escape stays an escape
+    assert "\\ud800" in path.read_text(encoding="utf-8")
+    with pytest.raises(OntologyFormatError) as err:
+        load_ontology(path)
+    assert str(err.value) == f"{path}: string escape \\ud800 is not valid Unicode (a lone surrogate)"
+
+
+def test_surrogate_pair_escape_loads(tmp_path):
+    doc = json.loads(samples.domain_ontology_path().read_text(encoding="utf-8"))
+    doc["concepts"][0]["gloss"] = "\U0001F600"
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert "\\ud83d\\ude00" in path.read_text(encoding="utf-8")
+    name = doc["concepts"][0]["name"]
+    assert load_ontology(path).concept(name).gloss == "\U0001F600"
 
 
 def _set(section, index, key, value):
