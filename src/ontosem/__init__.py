@@ -30,7 +30,6 @@ from .evaluate import (
     EvaluationCounts,
     EvaluationReport,
     Metrics,
-    compare,
     metrics,
     render_report,
     report,

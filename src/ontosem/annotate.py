@@ -36,10 +36,6 @@ class TokenAnnotation:
     relation_ids: frozenset[str]
     status: Status
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", frozenset(self.labels))
-        object.__setattr__(self, "relation_ids", frozenset(self.relation_ids))
-
 
 @dataclass(frozen=True, slots=True)
 class AnnotatedUtterance:

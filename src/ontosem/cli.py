@@ -137,12 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_pipeline(args: argparse.Namespace):
-    """Load the ontology pair as one merged ontology, normalize and annotate."""
-    ontology = merge(load_ontology(args.domain), load_ontology(args.task))
+    """Load the ontology pair, unmerged, and the tables; normalize and annotate."""
+    ontologies = (load_ontology(args.domain), load_ontology(args.task))
     tables = load_tables(args.tables)
     utterances = load_utterances(args.input)
-    normalized = normalize_all(utterances, tables, ontology)
-    return ontology, annotate_all(normalized, ontology)
+    normalized = normalize_all(utterances, tables, *ontologies)
+    return ontologies, annotate_all(normalized, *ontologies)
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
@@ -154,8 +154,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_interpret(args: argparse.Namespace) -> int:
-    ontology, annotated = _run_pipeline(args)
-    interpreted = interpret_all(annotated, ontology, tie_break=args.tie_break)
+    ontologies, annotated = _run_pipeline(args)
+    interpreted = interpret_all(annotated, *ontologies, tie_break=args.tie_break)
     text = (
         interpreted_to_xml(interpreted) if args.format == "xml" else interpreted_to_tsv(interpreted)
     )
@@ -179,9 +179,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not args.input or not args.gold:
         _info("ontosem: eval requires --in and --gold (or --from-counts)")
         return EXIT_INPUT
-    ontology, annotated = _run_pipeline(args)
-    interpreted = interpret_all(annotated, ontology, tie_break=args.tie_break)
-    gold = load_gold(args.gold, ontology)
+    ontologies, annotated = _run_pipeline(args)
+    interpreted = interpret_all(annotated, *ontologies, tie_break=args.tie_break)
+    gold = load_gold(args.gold, *ontologies)
     result = report(
         interpreted, gold, unresolved_policy=args.unresolved, include_markers=True
     )

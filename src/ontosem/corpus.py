@@ -79,14 +79,14 @@ def load_utterances(path: str | Path) -> list[RawUtterance]:
     return utterances
 
 
-def load_gold(path: str | Path, ontology: Ontology | None = None) -> dict[str, GoldUtterance]:
+def load_gold(path: str | Path, *ontologies: Ontology) -> dict[str, GoldUtterance]:
     """Read a gold file into an ordered id -> GoldUtterance mapping.
 
-    When an ontology is supplied (normally the merged domain/task pair),
-    every gold label must be one of its concepts or a reserved label.
+    When ontologies are supplied (normally the domain/task pair), every gold
+    label must be a reserved label or a concept one of them declares.
     """
     path = Path(path)
-    reserved = {SEMANTIC_RELATION_LABEL, OOV_LABEL}
+    known = {SEMANTIC_RELATION_LABEL, OOV_LABEL}.union(*(o.concept_names for o in ontologies))
     grouped: dict[str, list[GoldToken]] = {}
     for lineno, line in enumerate(read(path, CorpusFormatError, str.splitlines), 1):
         if not line.strip() or line.startswith("#"):
@@ -101,7 +101,7 @@ def load_gold(path: str | Path, ontology: Ontology | None = None) -> dict[str, G
             index = int(index_text)
         except ValueError:
             raise CorpusFormatError(f"{path}:{lineno}: token index {index_text!r} is not an integer") from None
-        if ontology is not None and label not in reserved and label not in ontology.concept_names:
+        if ontologies and label not in known:
             raise UnknownGoldLabelError(f"{path}:{lineno}: unknown gold label {label!r}")
         tokens = grouped.setdefault(utterance_id, [])
         if index != len(tokens):

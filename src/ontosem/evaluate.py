@@ -27,6 +27,7 @@ surviving candidate set as a wrong commitment instead.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -137,7 +138,11 @@ def _score_tokens(
         raise ValueError(
             f"unresolved_policy must be one of {UNRESOLVED_POLICIES}, got {unresolved_policy!r}"
         )
+    predicted = list(predicted)
     predicted_by_id = {u.id: u for u in predicted}
+    if len(predicted_by_id) < len(predicted):
+        repeated = sorted(uid for uid, n in Counter(u.id for u in predicted).items() if n > 1)
+        raise AlignmentError(f"utterance ids repeated in predictions: {repeated}")
     missing = sorted(set(gold) - set(predicted_by_id))
     extra = sorted(set(predicted_by_id) - set(gold))
     if missing or extra:
@@ -183,21 +188,6 @@ def _score_tokens(
             yield gold_token.label, bucket, single_label
 
 
-def compare(
-    predicted: Iterable[InterpretedUtterance],
-    gold: Mapping[str, GoldUtterance],
-    unresolved_policy: str = "not-recognized",
-    include_markers: bool = True,
-) -> EvaluationCounts:
-    """Aggregate token buckets over a whole corpus: the overall counts of
-    report(), which is the one place tokens are tallied.
-
-    Raises AlignmentError when predictions and gold do not cover the same
-    utterances with the same token sequences.
-    """
-    return report(predicted, gold, unresolved_policy, include_markers).counts
-
-
 def report(
     predicted: Iterable[InterpretedUtterance],
     gold: Mapping[str, GoldUtterance],
@@ -205,7 +195,9 @@ def report(
     include_markers: bool = True,
 ) -> EvaluationReport:
     """Full evaluation: overall counts, metrics, per-gold-label breakdown, and
-    the precision of tokens committed from a single-label annotation."""
+    the precision of tokens committed from a single-label annotation. Raises
+    AlignmentError unless the predictions hold each gold utterance once, with
+    the same token sequence."""
     overall = {"a": 0, "b": 0, "c": 0}
     per_concept: dict[str, dict[str, int]] = {}
     single = {"a": 0, "b": 0, "c": 0}

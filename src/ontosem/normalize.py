@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Container, Iterable, Sequence
+from types import MappingProxyType
+from typing import Container, Iterable, Mapping, Sequence
 
 from ._input import read, reader
 from .buckwalter import transliterate
@@ -106,11 +107,13 @@ class NormalizationTables:
     no rule starting with another surface. The index is derived data: it
     takes no part in `==` or `repr`. A compound rule with no parts matches
     everywhere without consuming a token and is rejected with ValueError.
+    `variants` is copied into a read-only mapping, left out of the hash, so
+    the tables cannot change after `load_tables` has checked them.
     """
 
     compounds: tuple[CompoundRule, ...] = ()
     clitics: tuple[CliticRule, ...] = ()
-    variants: dict[str, str] | None = None
+    variants: Mapping[str, str] | None = field(default=None, hash=False)
     _compounds_by_first: dict[str, list[CompoundRule]] = field(
         init=False, repr=False, compare=False
     )
@@ -128,7 +131,7 @@ class NormalizationTables:
         object.__setattr__(
             self, "clitics", tuple(sorted(self.clitics, key=lambda r: (-len(r.prefix), r.prefix)))
         )
-        object.__setattr__(self, "variants", dict(self.variants or {}))
+        object.__setattr__(self, "variants", MappingProxyType(dict(self.variants or {})))
 
 
 class _KnownSurfaces:
@@ -138,7 +141,7 @@ class _KnownSurfaces:
 
     __slots__ = ("variants", "ontologies")
 
-    def __init__(self, variants: dict[str, str], ontologies: Sequence[Ontology]):
+    def __init__(self, variants: Mapping[str, str], ontologies: Sequence[Ontology]):
         self.variants = variants
         self.ontologies = ontologies
 

@@ -55,9 +55,6 @@ class Instance:
     surface: str
     concepts: frozenset[str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "concepts", frozenset(self.concepts))
-
 
 @dataclass(frozen=True, slots=True)
 class Relation:
@@ -65,9 +62,6 @@ class Relation:
     triggers: frozenset[str]
     source: str
     target: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "triggers", frozenset(self.triggers))
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,9 +169,6 @@ class Ontology:
         except KeyError:
             raise UnknownRelationError(relation_id) from None
 
-    def relation_source(self, relation_id: str) -> str:
-        return self.relation(relation_id).source
-
     def relation_target(self, relation_id: str) -> str:
         return self.relation(relation_id).target
 
@@ -195,15 +186,9 @@ class Ontology:
         return chain
 
     def knows_surface(self, surface: str) -> bool:
-        """Whether a normalized surface form is an instance or a relation trigger:
-        membership in surface_vocabulary() without building it."""
+        """Whether a normalized surface form is an instance or a relation trigger,
+        asked of the lookup indexes without building a vocabulary."""
         return surface in self._instances_by_surface or surface in self._relations_by_trigger
-
-    def surface_vocabulary(self) -> frozenset[str]:
-        """All surface forms the ontology knows: instances plus relation triggers."""
-        vocab = set(self._instances_by_surface)
-        vocab.update(self._relations_by_trigger)
-        return frozenset(vocab)
 
 
 def merge(*ontologies: Ontology) -> Ontology:

@@ -109,14 +109,14 @@ def ontology_from_document(doc: object, source: str = "<document>") -> Ontology:
     instances = tuple(
         Instance(
             surface=field(r, "surface", "instance"),
-            concepts=field(r, "concepts", "instance", array=True),
+            concepts=frozenset(field(r, "concepts", "instance", array=True)),
         )
         for r in records("instances")
     )
     relations = tuple(
         Relation(
             id=field(r, "id", "relation"),
-            triggers=field(r, "triggers", "relation", array=True),
+            triggers=frozenset(field(r, "triggers", "relation", array=True)),
             source=field(r, "source", "relation"),
             target=field(r, "target", "relation"),
         )

@@ -62,5 +62,5 @@ def load_sample_corpus() -> list[RawUtterance]:
     return load_utterances(corpus_path())
 
 
-def load_sample_gold(ontology: Ontology | None = None) -> dict[str, GoldUtterance]:
-    return load_gold(gold_path(), ontology)
+def load_sample_gold(*ontologies: Ontology) -> dict[str, GoldUtterance]:
+    return load_gold(gold_path(), *ontologies)

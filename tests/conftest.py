@@ -27,6 +27,14 @@ SYNTH = Ontology(
 )
 
 
+def surface_vocabulary(ontology):
+    """Every surface an ontology knows, read off its instance and relation
+    records: the reference for `Ontology.knows_surface`."""
+    return {i.surface for i in ontology.instances} | {
+        t for r in ontology.relations for t in r.triggers
+    }
+
+
 def make_normalized(surfaces, uid="u"):
     tokens = tuple(Token(s, (i * 10, i * 10 + len(s))) for i, s in enumerate(surfaces))
     return NormalizedUtterance(id=uid, tokens=tokens)

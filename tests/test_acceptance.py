@@ -9,11 +9,17 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from conftest import SYNTH, annotate_surfaces, enumerate_surface_tuples, oracle_interpret
+from conftest import (
+    SYNTH,
+    annotate_surfaces,
+    enumerate_surface_tuples,
+    oracle_interpret,
+    surface_vocabulary,
+)
 from ontosem import samples
 from ontosem.annotate import Status, annotate, annotate_all
 from ontosem.corpus import stats
-from ontosem.evaluate import EvaluationCounts, compare, metrics, report, report_to_document
+from ontosem.evaluate import EvaluationCounts, metrics, report, report_to_document
 from ontosem.interpret import RESOLVED, interpret, interpret_all
 from ontosem.normalize import RawUtterance, normalize, normalize_all
 from ontosem.ontology import Concept, Instance, Ontology, Relation, TaxonomyEdge, merge, validate
@@ -114,7 +120,7 @@ def test_corpus_average_statistic():
 
 def _lexicon(domain, task, tables):
     vocabulary = sorted(
-        set(domain.surface_vocabulary()) | set(task.surface_vocabulary()) | set(tables.variants)
+        surface_vocabulary(domain) | surface_vocabulary(task) | set(tables.variants)
     )
     multiword = [list(rule.parts) for rule in tables.compounds]
     clitic_hosts = [
@@ -246,7 +252,7 @@ def test_property_count_conservation():
             predicted.append(InterpretedUtterance(uid, tuple(tokens), tuple(resolutions)))
             gold[uid] = GoldUtterance(uid, tuple(gold_tokens))
         policy = rng.choice(["not-recognized", "incorrect"])
-        counts = compare(predicted, gold, unresolved_policy=policy)
+        counts = report(predicted, gold, unresolved_policy=policy).counts
         assert counts.correct + counts.incorrect + counts.not_recognized == counts.total
 
 

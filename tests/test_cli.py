@@ -3,8 +3,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ontosem import samples
+from ontosem import cli, samples
 from ontosem.cli import main
+from ontosem.ontology import merge
 
 OWL_NS = "{http://www.w3.org/2002/07/owl#}"
 
@@ -119,6 +120,37 @@ def test_eval_on_shipped_corpus(out, capsys):
     assert out.read_bytes() == samples.regression_report_path().read_bytes()
     err = capsys.readouterr().err
     assert "Correct Annotation" in err
+
+
+PIPELINE_COMMANDS = {
+    "annotate": ["annotate", "--in", str(samples.corpus_path())],
+    "interpret": ["interpret", "--in", str(samples.corpus_path())],
+    "eval": ["eval", "--in", str(samples.corpus_path()), "--gold", str(samples.gold_path())],
+}
+
+
+@pytest.mark.parametrize("command", PIPELINE_COMMANDS)
+def test_pipeline_commands_read_the_pair_unmerged(out, monkeypatch, command):
+    def no_merge(*ontologies):
+        raise AssertionError(f"{command} merged the ontology pair")
+
+    monkeypatch.setattr(cli, "merge", no_merge)
+    assert run([*PIPELINE_COMMANDS[command], "--out", str(out)]) == 0
+    if command == "eval":
+        assert out.read_bytes() == samples.regression_report_path().read_bytes()
+
+
+@pytest.mark.parametrize("command", ["validate", "export-owl"])
+def test_merged_document_commands_merge_the_pair(out, monkeypatch, command):
+    merged = []
+
+    def spy(*ontologies):
+        merged.append(len(ontologies))
+        return merge(*ontologies)
+
+    monkeypatch.setattr(cli, "merge", spy)
+    assert run([command, "--out", str(out)]) == 0
+    assert merged == [2]
 
 
 def test_eval_from_counts_prints_reference_table(out, capsys):

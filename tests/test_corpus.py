@@ -63,6 +63,25 @@ def test_gold_rejects_unknown_label(tmp_path, merged):
         load_gold(path, merged)
 
 
+def test_gold_with_the_pair_accepts_a_label_only_the_task_declares(tmp_path, merged):
+    domain, task = samples.load_sample_domain(), samples.load_sample_task()
+    assert "Booking_Request" in task.concept_names - domain.concept_names
+    path = tmp_path / "g.tsv"
+    path.write_text("u1\t0\tHjz\tBooking_Request\n", encoding="utf-8")
+    assert load_gold(path, domain, task)["u1"].tokens[0].label == "Booking_Request"
+    with pytest.raises(UnknownGoldLabelError, match="Booking_Request"):
+        load_gold(path, domain)
+    assert samples.load_sample_gold(domain, task) == samples.load_sample_gold(merged)
+
+
+def test_gold_with_the_pair_rejects_a_label_neither_declares(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("u1\t0\tOtrAn\tTrain\nu1\t1\tOtrAn\tTrian\n", encoding="utf-8")
+    with pytest.raises(UnknownGoldLabelError) as err:
+        load_gold(path, samples.load_sample_domain(), samples.load_sample_task())
+    assert str(err.value) == f"{path}:2: unknown gold label 'Trian'"
+
+
 def test_gold_unknown_label_allowed_without_ontology(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text("u1\t0\tOtrAn\tTrian\n", encoding="utf-8")

@@ -11,7 +11,6 @@ from ontosem.corpus import GoldToken, GoldUtterance
 from ontosem.evaluate import (
     AlignmentError,
     EvaluationCounts,
-    compare,
     metrics,
     render_counts_table,
     render_report,
@@ -101,12 +100,12 @@ def test_truncation_is_floor_not_round():
     assert m.precision_display == "0.99"
 
 
-# -- compare ---------------------------------------------------------------------------
+# -- counts ----------------------------------------------------------------------------
 
 def test_all_correct_three_tokens():
     rows = [("x", Status.LABELED, {"A"}), ("y", Status.LABELED, {"B"}), ("z", Status.RELATION_MARKER, set())]
     gold = make_gold("u", [("x", "A"), ("y", "B"), ("z", SEMANTIC_RELATION_LABEL)])
-    counts = compare([make_predicted("u", rows)], gold)
+    counts = report([make_predicted("u", rows)], gold).counts
     assert counts == EvaluationCounts(3, 0, 0, 3)
 
 
@@ -120,38 +119,38 @@ def test_hand_counted_mixed_case():
         ("t5", Status.NOT_RECOGNIZED, set()),
     ]
     gold = make_gold("u", [("t1", "A"), ("t2", "B"), ("t3", "A"), ("t4", "A"), ("t5", "C")])
-    counts = compare([make_predicted("u", rows)], gold)
+    counts = report([make_predicted("u", rows)], gold).counts
     assert counts == EvaluationCounts(3, 1, 1, 5)
 
 
 def test_unresolved_scored_as_not_recognized_by_default():
     rows = [("w", Status.AMBIGUOUS, {"A", "B"})]
     gold = make_gold("u", [("w", "A")])
-    assert compare([make_predicted("u", rows)], gold) == EvaluationCounts(0, 0, 1, 1)
+    assert report([make_predicted("u", rows)], gold).counts == EvaluationCounts(0, 0, 1, 1)
 
 
 def test_unresolved_policy_incorrect():
     rows = [("w", Status.AMBIGUOUS, {"A", "B"})]
     gold = make_gold("u", [("w", "A")])
-    counts = compare([make_predicted("u", rows)], gold, unresolved_policy="incorrect")
+    counts = report([make_predicted("u", rows)], gold, unresolved_policy="incorrect").counts
     assert counts == EvaluationCounts(0, 1, 0, 1)
 
 
 def test_unknown_policy_rejected():
     with pytest.raises(ValueError, match="unresolved_policy"):
-        compare([], {}, unresolved_policy="coin-flip")
+        report([], {}, unresolved_policy="coin-flip")
 
 
 def test_marker_scored_against_reserved_label():
     rows = [("m", Status.RELATION_MARKER, set())]
     gold = make_gold("u", [("m", "A")])  # gold disagrees with the marker reading
-    assert compare([make_predicted("u", rows)], gold) == EvaluationCounts(0, 1, 0, 1)
+    assert report([make_predicted("u", rows)], gold).counts == EvaluationCounts(0, 1, 0, 1)
 
 
 def test_markers_can_be_excluded_from_denominator():
     rows = [("m", Status.RELATION_MARKER, set()), ("x", Status.LABELED, {"A"})]
     gold = make_gold("u", [("m", SEMANTIC_RELATION_LABEL), ("x", "A")])
-    counts = compare([make_predicted("u", rows)], gold, include_markers=False)
+    counts = report([make_predicted("u", rows)], gold, include_markers=False).counts
     assert counts == EvaluationCounts(1, 0, 0, 1)
 
 
@@ -159,20 +158,33 @@ def test_token_count_mismatch_is_alignment_error():
     rows = [("x", Status.LABELED, {"A"})]
     gold = make_gold("u", [("x", "A"), ("y", "B")])
     with pytest.raises(AlignmentError, match="tokens"):
-        compare([make_predicted("u", rows)], gold)
+        report([make_predicted("u", rows)], gold)
 
 
 def test_missing_utterance_is_alignment_error():
     gold = make_gold("u", [("x", "A")])
     with pytest.raises(AlignmentError, match="ids differ"):
-        compare([], gold)
+        report([], gold)
+
+
+def test_repeated_predicted_id_is_alignment_error():
+    rows = [("x", Status.LABELED, {"A"})]
+    gold = {**make_gold("u1", [("x", "A")]), **make_gold("u2", [("x", "A")])}
+    once = [make_predicted("u2", rows), make_predicted("u1", rows)]
+    assert report(once, gold).counts == EvaluationCounts(2, 0, 0, 2)
+    with pytest.raises(AlignmentError, match=r"repeated in predictions: \['u1', 'u2'\]$"):
+        report(once + once, gold)
+    # a second, different prediction under one id is not silently dropped either
+    other = make_predicted("u1", [("x", Status.NOT_RECOGNIZED, set())])
+    with pytest.raises(AlignmentError, match=r"repeated in predictions: \['u1'\]$"):
+        report(iter(once + [other]), gold)
 
 
 def test_surface_mismatch_is_alignment_error():
     rows = [("x", Status.LABELED, {"A"})]
     gold = make_gold("u", [("y", "A")])
     with pytest.raises(AlignmentError, match="surface"):
-        compare([make_predicted("u", rows)], gold)
+        report([make_predicted("u", rows)], gold)
 
 
 def test_compare_invariant_under_utterance_order():
@@ -183,11 +195,11 @@ def test_compare_invariant_under_utterance_order():
         rows = [(f"t{i}{j}", Status.LABELED, {"A"}) for j in range(3)]
         predicted.append(make_predicted(f"u{i}", rows))
         gold.update(make_gold(f"u{i}", [(f"t{i}{j}", "A" if j else "B") for j in range(3)]))
-    baseline = compare(predicted, gold)
+    baseline = report(predicted, gold).counts
     for _ in range(5):
         shuffled = predicted[:]
         rng.shuffle(shuffled)
-        assert compare(shuffled, gold) == baseline
+        assert report(shuffled, gold).counts == baseline
 
 
 _STATUSES = st.sampled_from(
@@ -225,7 +237,7 @@ def aligned_pair(draw):
 @given(aligned_pair(), st.sampled_from(["not-recognized", "incorrect"]), st.booleans())
 def test_count_conservation_on_random_comparisons(pair, policy, include_markers):
     predicted, gold = pair
-    counts = compare(predicted, gold, unresolved_policy=policy, include_markers=include_markers)
+    counts = report(predicted, gold, unresolved_policy=policy, include_markers=include_markers).counts
     assert counts.correct + counts.incorrect + counts.not_recognized == counts.total
     assert counts.total <= sum(len(g.tokens) for g in gold.values())
 

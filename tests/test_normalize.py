@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import surface_vocabulary
 from ontosem import samples
 from ontosem.buckwalter import transliterate
 from ontosem.normalize import (
@@ -59,7 +60,7 @@ def reference_merge_compounds(tokens, tables):
 def reference_vocabulary(tables, ontologies):
     vocabulary = set(tables.variants)
     for ontology in ontologies:
-        vocabulary.update(ontology.surface_vocabulary())
+        vocabulary.update(surface_vocabulary(ontology))
     return vocabulary
 
 
@@ -271,13 +272,26 @@ def test_empty_compound_parts_reported_by_load(tmp_path):
         load_tables(path)
 
 
+def test_variants_are_read_only_and_equal_tables_hash_equal(tables):
+    with pytest.raises(TypeError):
+        tables.variants["zz"] = "qq"
+    assert "zz" not in tables.variants
+    assert hash(tables) == hash(samples.load_sample_tables())
+    source = {"x": "y"}
+    built = NormalizationTables(variants=source)
+    source["x"] = "z"
+    assert built.variants == {"x": "y"}
+    assert built == NormalizationTables(variants={"x": "y"}) != NormalizationTables(variants=source)
+    assert len({built, NormalizationTables(variants={"x": "y"})}) == 1
+
+
 def test_compound_index_stays_out_of_equality_and_repr():
     rules = (CompoundRule(("A", "B"), "A_B"), CompoundRule(("C", "D"), "C_D"))
     tables = NormalizationTables(compounds=rules)
     assert tables == NormalizationTables(compounds=rules) != NormalizationTables()
     assert repr(tables) == (
         "NormalizationTables(compounds=(CompoundRule(parts=('A', 'B'), replacement='A_B'), "
-        "CompoundRule(parts=('C', 'D'), replacement='C_D')), clitics=(), variants={})"
+        "CompoundRule(parts=('C', 'D'), replacement='C_D')), clitics=(), variants=mappingproxy({}))"
     )
 
 

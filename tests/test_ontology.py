@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import surface_vocabulary
 from ontosem.ontology import (
     Concept,
     Instance,
@@ -67,13 +68,13 @@ def test_lookup_relations(merged):
 
 
 def test_knows_surface_agrees_with_surface_vocabulary(merged):
-    vocabulary = merged.surface_vocabulary()
+    vocabulary = surface_vocabulary(merged)
     assert {"twns", "Ily", "klAs"} <= vocabulary
     for surface in vocabulary | {"zzz_unknown", ""}:
         assert merged.knows_surface(surface) == (surface in vocabulary), surface
     # an instance that maps to no concept is still a known surface
     bare = Ontology(concepts=(Concept("A", "domain"),), instances=(Instance("w", frozenset()),))
-    assert bare.knows_surface("w") and bare.surface_vocabulary() == {"w"}
+    assert bare.knows_surface("w") and surface_vocabulary(bare) == {"w"}
 
 
 def test_lookup_is_pure(merged):
@@ -84,7 +85,7 @@ def test_lookup_is_pure(merged):
 
 def test_relation_endpoints(merged):
     assert merged.relation_target("rel_to_arrival") == "Arrival_City"
-    assert merged.relation_source("rel_from_departure") == "Train"
+    assert merged.relation("rel_from_departure").source == "Train"
     assert merged.relation_target("rel_class") == "Ticket_Class"
 
 

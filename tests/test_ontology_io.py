@@ -28,6 +28,15 @@ def test_load_sample_domain_has_15_concepts():
     assert len(ontology.concepts) == 15
 
 
+def test_load_ontology_yields_frozenset_concepts_and_triggers():
+    pair = [load_ontology(samples.domain_ontology_path()), load_ontology(samples.task_ontology_path())]
+    instances = [i for o in pair for i in o.instances]
+    relations = [r for o in pair for r in o.relations]
+    assert instances and relations
+    assert all(type(i.concepts) is frozenset for i in instances)
+    assert all(type(r.triggers) is frozenset for r in relations)
+
+
 def test_load_empty_file_is_parse_error(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("", encoding="utf-8")
