@@ -52,6 +52,7 @@ from .normalize import (
     TablesError,
     Token,
     expand_clitics,
+    fixed_point_findings,
     load_tables,
     merge_compounds,
     normalize,
@@ -68,7 +69,9 @@ from .ontology import (
     TaxonomyEdge,
     UnknownConceptError,
     UnknownRelationError,
+    lookup,
     merge,
+    relation_target,
     validate,
 )
 from .ontology_io import (

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Iterable
 
 from .normalize import NormalizedUtterance
-from .ontology import EMPTY, Ontology
+from .ontology import EMPTY, Ontology, lookup
 
 logger = logging.getLogger(__name__)
 
@@ -55,16 +55,8 @@ def committed_label(token: TokenAnnotation) -> str | None:
 
 
 def annotate_token(surface: str, *ontologies: Ontology) -> TokenAnnotation:
-    """Annotate one surface. The label and relation sets are the ontologies'
-    own index entries, or the shared EMPTY; a new set is built only when two
-    ontologies both know the surface."""
-    labels = relation_ids = EMPTY
-    for ontology in ontologies:
-        if found := ontology.lookup_concepts(surface):
-            labels = labels | found if labels else found
-        if found := ontology.lookup_relations(surface):
-            relation_ids = relation_ids | found if relation_ids else found
-
+    """Annotate one surface with the label and relation sets `lookup` gives."""
+    labels, relation_ids = lookup(surface, ontologies)
     if relation_ids:
         if labels:
             # impossible on validated ontologies; relation wins so that

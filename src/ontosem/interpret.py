@@ -22,7 +22,7 @@ from .annotate import AnnotatedUtterance, Status, TokenAnnotation
 # `merge` is no longer called here. The name stays because code that wraps
 # `ontosem.interpret.merge` by module attribute still looks it up:
 # `benchmarks/spans.py` does, and its `interpret.merge_calls` now reads 0.
-from .ontology import EMPTY, Ontology, UnknownRelationError, merge  # noqa: F401
+from .ontology import EMPTY, Ontology, merge, relation_target  # noqa: F401
 
 RESOLVED = "resolved"
 UNRESOLVED = "unresolved"
@@ -66,17 +66,6 @@ def _prefers_left(tie_break: str) -> bool:
     return tie_break == "left"
 
 
-def _relation_target(relation_id: str, ontologies: Sequence[Ontology]) -> str:
-    """The target of `relation_id` in the first ontology declaring it: the
-    answer `merge(*ontologies).relation_target(relation_id)` gives, without
-    building the merged ontology."""
-    for ontology in ontologies:
-        relation = ontology._relation_by_id.get(relation_id)
-        if relation is not None:
-            return relation.target
-    raise UnknownRelationError(relation_id)
-
-
 def resolve_token(
     index: int,
     annotated: AnnotatedUtterance,
@@ -86,8 +75,9 @@ def resolve_token(
 ) -> Resolution:
     """Resolve one ambiguous token against the nearest qualifying marker.
 
-    A relation's target is read from `ontologies` in order: the first that
-    declares the relation id wins, and none raises UnknownRelationError.
+    A relation's target is `relation_target(relation_id, ontologies)`: the
+    first ontology that declares the id wins, and none raises
+    UnknownRelationError.
     `consumed` holds the token indexes of markers already used. Returns a
     RESOLVED resolution naming the winning relation and its marker position,
     or UNRESOLVED with the surviving candidate set.
@@ -104,7 +94,7 @@ def resolve_token(
 
     for j in markers:
         for relation_id in sorted(annotated.tokens[j].relation_ids):
-            target = _relation_target(relation_id, ontologies)
+            target = relation_target(relation_id, ontologies)
             if target in candidates:
                 return Resolution(
                     token_index=index,

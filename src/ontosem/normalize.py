@@ -23,11 +23,12 @@ spellings) to the base form used by the ontology and must be idempotent.
 
 Each token costs a few dict lookups whatever the size of the tables and
 ontologies: compounds are indexed by their first part when the tables are
-built, and the clitic gate asks the variant table and each ontology's own
-surface indexes instead of copying them.
+built, and the clitic gate asks the variant table and `ontology.lookup`,
+which reads each ontology's own surface indexes instead of copying them.
 
 Normalization is a pure function and a fixed point: running it over its own
-output changes nothing.
+output changes nothing. `load_tables` rejects tables it can see break this;
+`fixed_point_findings` reports those that break it only with given ontologies.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ._input import read, reader
 from .buckwalter import transliterate
-from .ontology import Ontology
+from .ontology import Ontology, lookup
 
 # characters discarded during tokenization (never become tokens)
 PUNCTUATION = frozenset("؟?!.,")
@@ -134,21 +135,6 @@ class NormalizationTables:
         object.__setattr__(self, "variants", MappingProxyType(dict(self.variants or {})))
 
 
-class _KnownSurfaces:
-    """The surfaces that gate clitic expansion: variant keys plus every
-    surface the ontologies know. A view over their own indexes; nothing is
-    copied, so building one costs the same for any lexicon size."""
-
-    __slots__ = ("variants", "ontologies")
-
-    def __init__(self, variants: Mapping[str, str], ontologies: Sequence[Ontology]):
-        self.variants = variants
-        self.ontologies = ontologies
-
-    def __contains__(self, surface: object) -> bool:
-        return surface in self.variants or any(o.knows_surface(surface) for o in self.ontologies)
-
-
 def load_tables(path: str | Path) -> NormalizationTables:
     """Parse and check a normalization tables file.
 
@@ -235,24 +221,24 @@ def tokenize(raw: RawUtterance) -> list[Token]:
 
 
 def expand_clitics(
-    tokens: Sequence[Token], tables: NormalizationTables, vocabulary: Container[str]
+    tokens: Sequence[Token], tables: NormalizationTables, known: Callable[[str], bool]
 ) -> list[Token]:
     """Rewrite clitic-prefixed tokens into marker tokens plus their host.
 
     Longest prefix wins (the tables hold clitics in that order). Expansion
     only fires when the remainder after stripping the prefix is a known
-    surface form (ontology vocabulary or variant table); everything else
-    passes through unchanged, so unknown words that merely start with a
-    clitic letter are left intact. `vocabulary` is only asked `rest in
-    vocabulary`, once per matching prefix, so any container works: a set, or
-    the view over the ontologies' indexes that `normalize` passes.
+    surface form, i.e. `known(rest)` is true; everything else passes through
+    unchanged, so unknown words that merely start with a clitic letter are
+    left intact. `known` is asked once per matching prefix: `normalize`
+    passes a gate over the variant table and the ontologies, and a set's
+    `__contains__` works as well.
     """
     out: list[Token] = []
     for token in tokens:
         rewritten = None
         for rule in tables.clitics:
             rest = token.surface[len(rule.prefix):]
-            if token.surface.startswith(rule.prefix) and rest and rest in vocabulary:
+            if token.surface.startswith(rule.prefix) and rest and known(rest):
                 rewritten = (rule, rest)
                 break
         if rewritten is None:
@@ -312,6 +298,13 @@ def radicalize(surface: str, tables: NormalizationTables) -> str:
     return tables.variants.get(surface, surface)
 
 
+def _clitic_gate(
+    tables: NormalizationTables, ontologies: Sequence[Ontology]
+) -> Callable[[str], bool]:
+    """The `known` predicate `normalize` passes to `expand_clitics`."""
+    return lambda surface: surface in tables.variants or any(lookup(surface, ontologies))
+
+
 def normalize(
     raw: RawUtterance, tables: NormalizationTables, *ontologies: Ontology
 ) -> NormalizedUtterance:
@@ -319,12 +312,12 @@ def normalize(
 
     The ontologies supply the surface vocabulary that gates clitic expansion;
     pass every ontology the annotator will consult (normally the domain/task
-    pair). The gate asks the variant table and the indexes each ontology
-    already keeps for annotation, so no vocabulary is built per call and the
+    pair). A remainder is known when it is a variant key or `lookup` gives it
+    a label or a relation id, so no vocabulary is built per call and the
     cost per token does not grow with the lexicon or the tables.
     """
     tokens = tokenize(raw)
-    tokens = expand_clitics(tokens, tables, _KnownSurfaces(tables.variants, ontologies))
+    tokens = expand_clitics(tokens, tables, _clitic_gate(tables, ontologies))
     tokens = merge_compounds(tokens, tables)
 
     final: list[Token] = []
@@ -334,6 +327,26 @@ def normalize(
             token = Token(base, token.span, token.trace + (f"variant:{token.surface}",))
         final.append(token)
     return NormalizedUtterance(id=raw.id, tokens=tuple(final))
+
+
+def fixed_point_findings(tables: NormalizationTables, *ontologies: Ontology) -> list[str]:
+    """Rewrite outputs that a clitic rule would split on a second pass: each
+    compound replacement, variant base and clitic expansion token, as
+    normalization leaves it, put through `expand_clitics` with the gate
+    `normalize` uses. With the compound `a b -> ltwns`, `a b` normalizes to
+    `ltwns` and that again to `Ily twns`, as the gate knows `twns`;
+    `load_tables` sees no ontology, so it cannot check this."""
+    known = _clitic_gate(tables, ontologies)
+    emitted = [("compound", rule.parts, rule.replacement) for rule in tables.compounds]
+    emitted += [("variant", key, base) for key, base in sorted(tables.variants.items()) if base != key]
+    emitted += [("clitic", rule.prefix, s) for rule in tables.clitics for s in rule.expansion]
+    findings: list[str] = []
+    for kind, key, surface in emitted:
+        surface = radicalize(surface, tables)
+        split = [t.surface for t in expand_clitics([Token(surface, (0, len(surface)))], tables, known)]
+        if len(split) > 1:
+            findings.append(f"{kind} {key!r} emits {surface!r}, which a second pass splits into {split!r}")
+    return findings
 
 
 def normalize_all(

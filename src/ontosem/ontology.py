@@ -129,7 +129,9 @@ class Ontology:
     def _instances_by_surface(self) -> dict[str, frozenset[str]]:
         index: dict[str, frozenset[str]] = {}
         for instance in self.instances:
-            index[instance.surface] = index.get(instance.surface, frozenset()) | instance.concepts
+            known = index.get(instance.surface)
+            # the instance's own set unless a second record claims the surface
+            index[instance.surface] = instance.concepts if known is None else known | instance.concepts
         return index
 
     @cached_property
@@ -137,7 +139,7 @@ class Ontology:
         index: dict[str, frozenset[str]] = {}
         for relation in self.relations:
             for trigger in relation.triggers:
-                index[trigger] = index.get(trigger, frozenset()) | {relation.id}
+                index[trigger] = index.get(trigger, EMPTY) | {relation.id}
         return index
 
     @cached_property
@@ -155,22 +157,11 @@ class Ontology:
         except KeyError:
             raise UnknownConceptError(name) from None
 
-    def lookup_concepts(self, surface: str) -> frozenset[str]:
-        """Concept labels instantiated by a normalized surface form (may be empty)."""
-        return self._instances_by_surface.get(surface, EMPTY)
-
-    def lookup_relations(self, surface: str) -> frozenset[str]:
-        """Ids of relations triggered by a normalized surface form (may be empty)."""
-        return self._relations_by_trigger.get(surface, EMPTY)
-
     def relation(self, relation_id: str) -> Relation:
         try:
             return self._relation_by_id[relation_id]
         except KeyError:
             raise UnknownRelationError(relation_id) from None
-
-    def relation_target(self, relation_id: str) -> str:
-        return self.relation(relation_id).target
 
     def ancestors(self, name: str) -> list[str]:
         """Transitive parents of a concept, nearest first; [] for roots."""
@@ -185,10 +176,32 @@ class Ontology:
             current = self._parent_of.get(current)
         return chain
 
-    def knows_surface(self, surface: str) -> bool:
-        """Whether a normalized surface form is an instance or a relation trigger,
-        asked of the lookup indexes without building a vocabulary."""
-        return surface in self._instances_by_surface or surface in self._relations_by_trigger
+
+def lookup(
+    surface: str, ontologies: Iterable[Ontology]
+) -> tuple[frozenset[str], frozenset[str]]:
+    """The concept labels and relation ids a normalized surface form has in
+    `ontologies`: the answer `merge(*ontologies)` gives, without building the
+    merged ontology. Each set is an ontology's own index entry, or EMPTY; a
+    new set is built only when two ontologies both know the surface."""
+    labels = relation_ids = EMPTY
+    for ontology in ontologies:
+        if found := ontology._instances_by_surface.get(surface):
+            labels = labels | found if labels else found
+        if found := ontology._relations_by_trigger.get(surface):
+            relation_ids = relation_ids | found if relation_ids else found
+    return labels, relation_ids
+
+
+def relation_target(relation_id: str, ontologies: Iterable[Ontology]) -> str:
+    """The target of `relation_id` in the first of `ontologies` that declares
+    it: the answer `merge(*ontologies).relation(relation_id).target` gives.
+    Raises UnknownRelationError when none declares it."""
+    for ontology in ontologies:
+        relation = ontology._relation_by_id.get(relation_id)
+        if relation is not None:
+            return relation.target
+    raise UnknownRelationError(relation_id)
 
 
 def merge(*ontologies: Ontology) -> Ontology:
@@ -196,10 +209,9 @@ def merge(*ontologies: Ontology) -> Ontology:
 
     Identical concept declarations collapse to a single record (a gloss-less
     redeclaration adopts the gloss of its counterpart). Instances sharing a
-    surface form union their concept sets, matching how annotation queries
-    both ontologies. Conflicting records (same concept name with a different
-    kind, same relation id with different content) are kept side by side so
-    validate() reports them.
+    surface form union their concept sets, as `lookup` does. Conflicting
+    records (same concept name with a different kind, same relation id with
+    different content) are kept side by side so validate() reports them.
     """
     concepts: dict[tuple[str, str], Concept] = {}
     edges: set[TaxonomyEdge] = set()

@@ -125,20 +125,18 @@ def ontology_from_document(doc: object, source: str = "<document>") -> Ontology:
     return Ontology(concepts=concepts, taxonomy=taxonomy, instances=instances, relations=relations)
 
 
-def ontology_to_document(ontology: Ontology, kind: str | None = None) -> dict:
+def ontology_to_document(ontology: Ontology) -> dict:
     """Serializable record mirror of an ontology.
 
-    `kind` sets the document kind; by default the majority kind among the
-    declared concepts is used (ties and empty ontologies fall back to
-    "domain"). Every concept record carries its kind explicitly, so the
-    document kind is informational on save.
+    The document kind is the majority kind among the declared concepts (ties
+    and empty ontologies fall back to "domain"). Every concept record carries
+    its kind explicitly, so the document kind is informational on save.
     """
-    if kind is None:
-        tally = {k: 0 for k in KINDS}
-        for concept in ontology.concepts:
-            if concept.kind in tally:
-                tally[concept.kind] += 1
-        kind = max(KINDS, key=lambda k: tally[k])  # first KINDS entry wins ties
+    tally = {k: 0 for k in KINDS}
+    for concept in ontology.concepts:
+        if concept.kind in tally:
+            tally[concept.kind] += 1
+    kind = max(KINDS, key=lambda k: tally[k])  # first KINDS entry wins ties
 
     def concept_record(c: Concept) -> dict:
         record: dict = {"name": c.name, "kind": c.kind}
@@ -161,9 +159,9 @@ def ontology_to_document(ontology: Ontology, kind: str | None = None) -> dict:
     }
 
 
-def save_ontology(ontology: Ontology, path: str | Path, kind: str | None = None) -> None:
+def save_ontology(ontology: Ontology, path: str | Path) -> None:
     """Write the native document for a validated ontology (deterministic bytes)."""
-    doc = ontology_to_document(ontology, kind=kind)
+    doc = ontology_to_document(ontology)
     text = json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
     Path(path).write_text(text, encoding="utf-8")
 

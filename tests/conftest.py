@@ -28,8 +28,8 @@ SYNTH = Ontology(
 
 
 def surface_vocabulary(ontology):
-    """Every surface an ontology knows, read off its instance and relation
-    records: the reference for `Ontology.knows_surface`."""
+    """Every surface an ontology records, read off its instance and relation
+    records: the reference for the surfaces `lookup` answers."""
     return {i.surface for i in ontology.instances} | {
         t for r in ontology.relations for t in r.triggers
     }
@@ -63,7 +63,7 @@ def oracle_resolve(
         if j in consumed or not token.relation_ids:
             continue
         for relation_id in token.relation_ids:
-            target = ontology.relation_target(relation_id)
+            target = ontology.relation(relation_id).target
             if target not in candidates:
                 continue
             on_preferred_side = (j < index) == (tie_break == "left")

@@ -14,7 +14,7 @@ from ontosem.annotate import (
     committed_label,
 )
 from ontosem.normalize import NormalizedUtterance, RawUtterance, Token, normalize
-from ontosem.ontology import EMPTY, Concept, Instance, Ontology, Relation
+from ontosem.ontology import EMPTY, Concept, Instance, Ontology, Relation, lookup
 
 
 @pytest.fixture(scope="module")
@@ -152,8 +152,9 @@ def reference_annotate_token(surface, *ontologies):
     labels = frozenset()
     relation_ids = frozenset()
     for ontology in ontologies:
-        labels |= ontology.lookup_concepts(surface)
-        relation_ids |= ontology.lookup_relations(surface)
+        found_labels, found_relation_ids = lookup(surface, [ontology])
+        labels |= found_labels
+        relation_ids |= found_relation_ids
     if relation_ids:
         return TokenAnnotation(surface, frozenset(), relation_ids, Status.RELATION_MARKER)
     if len(labels) >= 2:
@@ -185,8 +186,9 @@ def test_property_annotate_token_equals_fresh_unions(ontologies, surface):
 def test_annotate_token_shares_the_index_sets(ontologies):
     domain, task = ontologies
     time_question = annotate_token("wqtA$", *ontologies)  # known to one ontology only
-    assert not (domain.lookup_concepts("wqtA$") and task.lookup_concepts("wqtA$"))
-    known = domain.lookup_concepts("wqtA$") or task.lookup_concepts("wqtA$")
+    in_domain, in_task = lookup("wqtA$", [domain])[0], lookup("wqtA$", [task])[0]
+    assert not (in_domain and in_task)
+    known = in_domain or in_task
     assert time_question.labels is known
     assert time_question.relation_ids is EMPTY
     unknown = annotate_token("zzz", *ontologies)

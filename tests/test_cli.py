@@ -5,6 +5,7 @@ import pytest
 
 from ontosem import cli, samples
 from ontosem.cli import main
+from ontosem.normalize import RawUtterance, load_tables, normalize
 from ontosem.ontology import merge
 
 OWL_NS = "{http://www.w3.org/2002/07/owl#}"
@@ -301,6 +302,31 @@ def test_compound_part_that_is_a_variant_base_exits_2(out, tmp_path, capsys):
         f"ontosem: {path}: invalid tables: "
         "compound ('OtrAn', 'X') part 'OtrAn' is the base of variant 'trAn'\n"
     )
+
+
+# each makes a surface that a clitic rule splits on a second normalization;
+# `load_tables` accepts them, as the split depends on what the ontologies know
+@pytest.mark.parametrize(
+    "mutate, text, finding",
+    [
+        (lambda d: d["compounds"].append({"parts": ["a", "b"], "replacement": "ltwns"}), "a b",
+         "compound ('a', 'b') emits 'ltwns', which a second pass splits into ['Ily', 'twns']"),
+        (lambda d: d["variants"].update(zz="ltwns"), "zz",
+         "variant 'zz' emits 'ltwns', which a second pass splits into ['Ily', 'twns']"),
+    ],
+)
+def test_tables_that_break_the_fixed_point_exit_2(out, tmp_path, capsys, mutate, text, finding):
+    path = _bundled_with("--tables", tmp_path, mutate)
+    tables = load_tables(path)
+    ontologies = samples.load_sample_domain(), samples.load_sample_task()
+    once = normalize(RawUtterance("u", text), tables, *ontologies).surfaces()
+    assert once == ["ltwns"]
+    assert normalize(RawUtterance("u", "ltwns"), tables, *ontologies).surfaces() == ["Ily", "twns"]
+
+    corpus = ["--in", str(samples.corpus_path()), "--gold", str(samples.gold_path())]
+    assert run(["eval", "--tables", str(path), "--out", str(out)] + corpus) == 2
+    assert capsys.readouterr().err == f"ontosem: {path}: invalid tables: {finding}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["export-owl", "validate", "eval"])

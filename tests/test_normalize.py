@@ -16,6 +16,7 @@ from ontosem.normalize import (
     TablesError,
     Token,
     expand_clitics,
+    fixed_point_findings,
     load_tables,
     merge_compounds,
     normalize,
@@ -65,7 +66,7 @@ def reference_vocabulary(tables, ontologies):
 
 
 def reference_normalize(raw, tables, *ontologies):
-    tokens = expand_clitics(tokenize(raw), tables, reference_vocabulary(tables, ontologies))
+    tokens = expand_clitics(tokenize(raw), tables, reference_vocabulary(tables, ontologies).__contains__)
     final = []
     for token in reference_merge_compounds(tokens, tables):
         base = radicalize(token.surface, tables)
@@ -142,32 +143,32 @@ def test_tokenize_spans_index_raw_text():
 
 def test_expand_clitic_before_known_host(tables, vocabulary):
     tokens = tokenize(RawUtterance("u", "ltwns"))
-    assert surfaces(expand_clitics(tokens, tables, vocabulary)) == ["Ily", "twns"]
+    assert surfaces(expand_clitics(tokens, tables, vocabulary.__contains__)) == ["Ily", "twns"]
 
 
 def test_no_clitic_no_change(tables, vocabulary):
     tokens = tokenize(RawUtterance("u", "twns"))
-    assert surfaces(expand_clitics(tokens, tables, vocabulary)) == ["twns"]
+    assert surfaces(expand_clitics(tokens, tables, vocabulary.__contains__)) == ["twns"]
 
 
 def test_expansion_is_vocabulary_gated(tables, vocabulary):
     assert "XYZ" not in vocabulary  # the remainder really is unknown
     tokens = tokenize(RawUtterance("u", "lXYZ"))
-    assert surfaces(expand_clitics(tokens, tables, vocabulary)) == ["lXYZ"]
+    assert surfaces(expand_clitics(tokens, tables, vocabulary.__contains__)) == ["lXYZ"]
 
 
 def test_known_word_starting_with_clitic_letter_survives(tables, vocabulary):
     # lksbrAs is a train type, not Ily + ksbrAs
     assert "ksbrAs" not in vocabulary
     tokens = tokenize(RawUtterance("u", "lksbrAs"))
-    assert surfaces(expand_clitics(tokens, tables, vocabulary)) == ["lksbrAs"]
+    assert surfaces(expand_clitics(tokens, tables, vocabulary.__contains__)) == ["lksbrAs"]
 
 
 def test_multi_token_expansion_spans(tables):
     from ontosem.normalize import CliticRule
 
     custom = NormalizationTables(clitics=(CliticRule("b", ("B1", "B2")),))
-    tokens = expand_clitics(tokenize(RawUtterance("u", "bhost")), custom, {"host"})
+    tokens = expand_clitics(tokenize(RawUtterance("u", "bhost")), custom, {"host"}.__contains__)
     assert surfaces(tokens) == ["B1", "B2", "host"]
     spans = [t.span for t in tokens]
     assert spans == [(0, 1), (1, 1), (1, 5)]
@@ -177,11 +178,13 @@ def test_multi_token_expansion_spans(tables):
 def test_prefix_only_token_not_expanded(tables, vocabulary):
     # a bare clitic form has no remainder to expand
     tokens = tokenize(RawUtterance("u", "mn"))
-    assert surfaces(expand_clitics(tokens, tables, vocabulary)) == ["mn"]
+    assert surfaces(expand_clitics(tokens, tables, vocabulary.__contains__)) == ["mn"]
 
 
 def test_expanded_spans_stay_ordered(tables, vocabulary):
-    tokens = expand_clitics(tokenize(RawUtterance("u", "ltwns mnSfAqs")), tables, vocabulary)
+    tokens = expand_clitics(
+        tokenize(RawUtterance("u", "ltwns mnSfAqs")), tables, vocabulary.__contains__
+    )
     assert surfaces(tokens) == ["Ily", "twns", "mn", "SfAqs"]
     spans = [t.span for t in tokens]
     assert spans == sorted(spans)
@@ -245,7 +248,7 @@ def test_rule_precedence_fixed_at_construction():
     assert surfaces(merge_compounds(tokens, tables)) == ["A_B_C"]
     # both prefixes leave a known remainder; the longer one must win
     raw = tokenize(RawUtterance("u", "wlhost"))
-    assert surfaces(expand_clitics(raw, tables, {"host", "lhost"})) == ["w", "l", "host"]
+    assert surfaces(expand_clitics(raw, tables, {"host", "lhost"}.__contains__)) == ["w", "l", "host"]
 
 
 def test_merged_surface_comes_from_replacement_column(tables):
@@ -498,6 +501,32 @@ def test_normalize_idempotent_on_shipped_corpus(tables, ontologies):
         once = normalize(raw, tables, *ontologies)
         again = normalize(RawUtterance(raw.id, " ".join(once.surfaces())), tables, *ontologies)
         assert again.surfaces() == once.surfaces(), raw.id
+
+
+def test_fixed_point_findings_name_what_a_clitic_rule_splits_again(tables, ontologies):
+    assert fixed_point_findings(tables, *ontologies) == []
+    broken = NormalizationTables(
+        tables.compounds, tables.clitics + (CliticRule("w", ("ltwns",)),), tables.variants
+    )
+    once = normalize(RawUtterance("u", "wtwns"), broken, *ontologies).surfaces()
+    assert once == ["ltwns", "twns"]
+    again = normalize(RawUtterance("u", " ".join(once)), broken, *ontologies).surfaces()
+    assert again == ["Ily", "twns", "twns"]
+    assert fixed_point_findings(broken, *ontologies) == [
+        "clitic 'w' emits 'ltwns', which a second pass splits into ['Ily', 'twns']"
+    ]
+    # the split depends on the ontologies: without them no remainder is known
+    assert fixed_point_findings(broken) == []
+    # a replacement that is a variant key leaves as its base, which is all a
+    # second pass sees
+    reduced = NormalizationTables(
+        (CompoundRule(("c", "d"), "ltwns"),), tables.clitics, {"ltwns": "twns"}
+    )
+    assert normalize(RawUtterance("u", "c d"), reduced, *ontologies).surfaces() == ["twns"]
+    assert fixed_point_findings(reduced, *ontologies) == []
+    # an entry mapping a surface to itself rewrites nothing
+    identity = NormalizationTables(clitics=tables.clitics, variants={"ltwns": "ltwns"})
+    assert fixed_point_findings(identity, *ontologies) == []
 
 
 def test_normalize_spans_strictly_increasing(tables, ontologies):

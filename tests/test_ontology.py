@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import surface_vocabulary
 from ontosem.ontology import (
+    EMPTY,
     Concept,
     Instance,
     Ontology,
@@ -9,7 +13,9 @@ from ontosem.ontology import (
     TaxonomyEdge,
     UnknownConceptError,
     UnknownRelationError,
+    lookup,
     merge,
+    relation_target,
     validate,
 )
 from ontosem import samples
@@ -47,51 +53,60 @@ def brute_force_ancestors(ontology, name):
 # -- lookups ----------------------------------------------------------------
 
 def test_lookup_concepts_single_label(domain):
-    assert domain.lookup_concepts("OtrAn") == {"Train"}
+    assert lookup("OtrAn", [domain])[0] == {"Train"}
 
 
 def test_lookup_concepts_union_over_pair(merged):
-    assert merged.lookup_concepts("wqtA$") == {
+    assert lookup("wqtA$", [merged])[0] == {
         "Departure_Time_Request",
         "Arrival_Time_Request",
     }
 
 
 def test_lookup_concepts_out_of_vocabulary(merged):
-    assert merged.lookup_concepts("zzz_unknown") == frozenset()
+    assert lookup("zzz_unknown", [merged])[0] == frozenset()
 
 
 def test_lookup_relations(merged):
-    assert merged.lookup_relations("Ily") == {"rel_to_arrival"}
-    assert merged.lookup_relations("klAs") == {"rel_class"}
-    assert merged.lookup_relations("twns") == frozenset()
+    assert lookup("Ily", [merged])[1] == {"rel_to_arrival"}
+    assert lookup("klAs", [merged])[1] == {"rel_class"}
+    assert lookup("twns", [merged])[1] == frozenset()
 
 
-def test_knows_surface_agrees_with_surface_vocabulary(merged):
+def test_known_surfaces_agree_with_surface_vocabulary(merged):
     vocabulary = surface_vocabulary(merged)
     assert {"twns", "Ily", "klAs"} <= vocabulary
     for surface in vocabulary | {"zzz_unknown", ""}:
-        assert merged.knows_surface(surface) == (surface in vocabulary), surface
-    # an instance that maps to no concept is still a known surface
+        assert any(lookup(surface, [merged])) == (surface in vocabulary), surface
+    # an instance that maps to no concept (a validation finding) is recorded,
+    # but gives no label, so nothing treats it as a known surface
     bare = Ontology(concepts=(Concept("A", "domain"),), instances=(Instance("w", frozenset()),))
-    assert bare.knows_surface("w") and surface_vocabulary(bare) == {"w"}
+    assert surface_vocabulary(bare) == {"w"} and lookup("w", [bare]) == (EMPTY, EMPTY)
+
+
+def test_lookup_shares_the_instance_sets(domain):
+    # the index holds each instance's own set; building it copies none
+    for instance in domain.instances:
+        assert lookup(instance.surface, [domain])[0] is instance.concepts
 
 
 def test_lookup_is_pure(merged):
-    first = merged.lookup_concepts("twns")
-    second = merged.lookup_concepts("twns")
-    assert first == second == {"Arrival_City", "Departure_City"}
+    first = lookup("twns", [merged])
+    second = lookup("twns", [merged])
+    assert first == second == ({"Arrival_City", "Departure_City"}, frozenset())
 
 
 def test_relation_endpoints(merged):
-    assert merged.relation_target("rel_to_arrival") == "Arrival_City"
+    assert merged.relation("rel_to_arrival").target == "Arrival_City"
     assert merged.relation("rel_from_departure").source == "Train"
-    assert merged.relation_target("rel_class") == "Ticket_Class"
+    assert merged.relation("rel_class").target == "Ticket_Class"
 
 
 def test_relation_unknown_id(merged):
     with pytest.raises(UnknownRelationError):
-        merged.relation_target("rel_nonexistent")
+        merged.relation("rel_nonexistent")
+    with pytest.raises(UnknownRelationError):
+        relation_target("rel_nonexistent", [merged])
 
 
 def test_referential_integrity_of_relations(merged):
@@ -269,4 +284,68 @@ def test_merge_unions_instance_concept_sets():
         concepts=(Concept("B", "domain"),),
         instances=(Instance("w", frozenset({"B"})),),
     )
-    assert merge(a, b).lookup_concepts("w") == {"A", "B"}
+    assert lookup("w", [merge(a, b)])[0] == {"A", "B"}
+
+
+# -- the domain/task pair, unmerged -------------------------------------------------
+
+CONCEPT_NAMES = ("A", "B", "C")
+
+
+def generated_ontology(own):
+    """An ontology over the surfaces "shared" and `own` and the relation ids
+    "r_both" and `r_<own>`, so that a pair of them knows a surface or declares
+    an id in both, in one, or (for "neither"/"r_neither") in none."""
+    return st.builds(
+        lambda instances, relations: Ontology(
+            concepts=tuple(Concept(c, "domain") for c in CONCEPT_NAMES),
+            instances=tuple(Instance(s, labels) for s, labels in instances.items()),
+            relations=tuple(
+                Relation(i, triggers, "A", target) for i, (triggers, target) in relations.items()
+            ),
+        ),
+        st.dictionaries(
+            st.sampled_from(("shared", own)),
+            st.frozensets(st.sampled_from(CONCEPT_NAMES), min_size=1),
+        ),
+        st.dictionaries(
+            st.sampled_from(("r_both", f"r_{own}")),
+            st.tuples(
+                st.frozensets(st.sampled_from(("shared", own, "marker")), min_size=1),
+                st.sampled_from(CONCEPT_NAMES),
+            ),
+        ),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pair=st.tuples(generated_ontology("first"), generated_ontology("second")),
+    surface=st.sampled_from(("shared", "first", "second", "marker", "neither")),
+    relation_id=st.sampled_from(("r_both", "r_first", "r_second", "r_neither")),
+)
+def test_property_pair_answers_equal_the_merged_ones(pair, surface, relation_id):
+    merged = merge(*pair)
+    assert lookup(surface, pair) == lookup(surface, [merged])
+    try:
+        target = merged.relation(relation_id).target
+    except UnknownRelationError:
+        with pytest.raises(UnknownRelationError):
+            relation_target(relation_id, pair)
+    else:
+        assert relation_target(relation_id, pair) == target
+
+
+def test_only_the_ontology_module_reads_its_indexes():
+    # the rules for combining an ontology pair live in `lookup` and
+    # `relation_target`; another module reading an index would keep a copy
+    package = Path(__file__).resolve().parents[1] / "src" / "ontosem"
+    private = ("_instances_by_surface", "_relations_by_trigger", "_relation_by_id")
+    readers = [
+        f"{path.name}: {name}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "ontology.py"
+        for name in private
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert readers == []
