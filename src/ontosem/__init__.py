@@ -52,7 +52,6 @@ from .normalize import (
     TablesError,
     Token,
     expand_clitics,
-    fixed_point_findings,
     load_tables,
     merge_compounds,
     normalize,

@@ -29,7 +29,7 @@ from .evaluate import (
     report_to_document,
 )
 from .interpret import TIE_BREAKS, interpret_all
-from .normalize import TablesError, fixed_point_findings, load_tables, normalize_all
+from .normalize import TablesError, load_tables, normalize_all
 from .ontology import merge, validate
 from .ontology_io import (
     OntologyFormatError,
@@ -140,10 +140,7 @@ def _run_pipeline(args: argparse.Namespace):
     """Load the ontology pair, unmerged, and the tables, checked against the
     pair; normalize and annotate."""
     ontologies = (load_ontology(args.domain), load_ontology(args.task))
-    tables = load_tables(args.tables)
-    findings = fixed_point_findings(tables, *ontologies)
-    if findings:
-        raise TablesError(f"{args.tables}: invalid tables", findings)
+    tables = load_tables(args.tables, *ontologies)
     utterances = load_utterances(args.input)
     normalized = normalize_all(utterances, tables, *ontologies)
     return ontologies, annotate_all(normalized, *ontologies)

@@ -27,13 +27,15 @@ built, and the clitic gate asks the variant table and `ontology.lookup`,
 which reads each ontology's own surface indexes instead of copying them.
 
 Normalization is a pure function and a fixed point: running it over its own
-output changes nothing. `load_tables` rejects tables it can see break this;
-`fixed_point_findings` reports those that break it only with given ontologies.
+output changes nothing. `load_tables(path, *ontologies)` is the one check of
+this: it rejects tables under which a second pass would change the output,
+given the ontologies `normalize` will be passed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -135,8 +137,9 @@ class NormalizationTables:
         object.__setattr__(self, "variants", MappingProxyType(dict(self.variants or {})))
 
 
-def load_tables(path: str | Path) -> NormalizationTables:
-    """Parse and check a normalization tables file.
+def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
+    """Parse and check a normalization tables file for use with `ontologies`,
+    the ones `normalize` will be given.
 
     Raises TablesError for bytes that are not UTF-8, bad JSON or a section or
     field of the wrong JSON type, and for invariant violations: compound
@@ -144,7 +147,17 @@ def load_tables(path: str | Path) -> NormalizationTables:
     empty clitic rules, a variant table that is not idempotent (chained
     entries a->b->c), or a compound part that is another surface's variant
     base or a compound's replacement (either would make a second
-    normalization merge again).
+    normalization merge again). Those raise first, as such tables cannot be
+    built. Then `normalize(raw, tables, *ontologies)` must be a fixed point
+    under its clitic gate, which with no ontologies knows only the variant
+    keys. Each compound replacement, variant base and clitic expansion token,
+    after `radicalize`, must tokenize as itself (`x.y`, `x y`, `""` and
+    Arabic script do not) and no clitic rule may split it: with the compound
+    `a b -> ltwns`, `a b` would normalize to `ltwns` and that again to
+    `Ily twns` when an ontology knows `twns`. Nor may a clitic rule split a
+    surface the gate knows, as it can be left as a clitic's host: with the
+    instance `ltwns`, `mnltwns` would give `mn ltwns`, then `mn Ily twns`;
+    these findings come sorted.
     """
     path = Path(path)
     doc = read(path, TablesError)
@@ -196,7 +209,38 @@ def load_tables(path: str | Path) -> NormalizationTables:
 
     if findings:
         raise TablesError(f"{path}: invalid tables", findings)
-    return NormalizationTables(tuple(compounds), tuple(clitics), variants)
+    tables = NormalizationTables(tuple(compounds), tuple(clitics), variants)
+
+    known = _clitic_gate(tables, ontologies)
+    prefixes = tuple(rule.prefix for rule in tables.clitics)
+
+    def split(surface: str) -> list[str]:
+        if not surface.startswith(prefixes):
+            return [surface]
+        return [t.surface for t in expand_clitics([Token(surface, (0, len(surface)))], tables, known)]
+
+    emitted = [("compound", rule.parts, rule.replacement) for rule in tables.compounds]
+    emitted += [("variant", key, base) for key, base in sorted(variants.items()) if base != key]
+    emitted += [("clitic", rule.prefix, s) for rule in tables.clitics for s in rule.expansion]
+    for kind, key, surface in emitted:
+        surface = radicalize(surface, tables)
+        # `tokenize` without building tokens: no whitespace, no punctuation,
+        # nothing transliteration changes
+        if (surface.split() != [surface] or not PUNCTUATION.isdisjoint(surface)
+                or not (surface.isascii() or transliterate(surface) == surface)):
+            parts = [t.surface for t in tokenize(RawUtterance("", surface))]
+            findings.append(f"{kind} {key!r} emits {surface!r}, which a second pass tokenizes into {parts!r}")
+        elif len(parts := split(surface)) > 1:
+            findings.append(f"{kind} {key!r} emits {surface!r}, which a second pass splits into {parts!r}")
+    # a surface a variant rewrites leaves as its base, checked above as emitted
+    hosts = chain(variants, *(r.triggers for o in ontologies for r in o.relations),
+                  (i.surface for o in ontologies for i in o.instances))
+    for host in sorted({s for s in hosts if s.startswith(prefixes)}):
+        if radicalize(host, tables) == host and len(parts := split(host)) > 1:
+            findings.append(f"known surface {host!r} is a clitic host that a second pass splits into {parts!r}")
+    if findings:
+        raise TablesError(f"{path}: invalid tables", findings)
+    return tables
 
 
 def tokenize(raw: RawUtterance) -> list[Token]:
@@ -327,26 +371,6 @@ def normalize(
             token = Token(base, token.span, token.trace + (f"variant:{token.surface}",))
         final.append(token)
     return NormalizedUtterance(id=raw.id, tokens=tuple(final))
-
-
-def fixed_point_findings(tables: NormalizationTables, *ontologies: Ontology) -> list[str]:
-    """Rewrite outputs that a clitic rule would split on a second pass: each
-    compound replacement, variant base and clitic expansion token, as
-    normalization leaves it, put through `expand_clitics` with the gate
-    `normalize` uses. With the compound `a b -> ltwns`, `a b` normalizes to
-    `ltwns` and that again to `Ily twns`, as the gate knows `twns`;
-    `load_tables` sees no ontology, so it cannot check this."""
-    known = _clitic_gate(tables, ontologies)
-    emitted = [("compound", rule.parts, rule.replacement) for rule in tables.compounds]
-    emitted += [("variant", key, base) for key, base in sorted(tables.variants.items()) if base != key]
-    emitted += [("clitic", rule.prefix, s) for rule in tables.clitics for s in rule.expansion]
-    findings: list[str] = []
-    for kind, key, surface in emitted:
-        surface = radicalize(surface, tables)
-        split = [t.surface for t in expand_clitics([Token(surface, (0, len(surface)))], tables, known)]
-        if len(split) > 1:
-            findings.append(f"{kind} {key!r} emits {surface!r}, which a second pass splits into {split!r}")
-    return findings
 
 
 def normalize_all(

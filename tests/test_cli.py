@@ -305,7 +305,8 @@ def test_compound_part_that_is_a_variant_base_exits_2(out, tmp_path, capsys):
 
 
 # each makes a surface that a clitic rule splits on a second normalization;
-# `load_tables` accepts them, as the split depends on what the ontologies know
+# `load_tables` without the ontologies accepts them, as the split depends on
+# what the ontologies know
 @pytest.mark.parametrize(
     "mutate, text, finding",
     [
@@ -326,6 +327,38 @@ def test_tables_that_break_the_fixed_point_exit_2(out, tmp_path, capsys, mutate,
     corpus = ["--in", str(samples.corpus_path()), "--gold", str(samples.gold_path())]
     assert run(["eval", "--tables", str(path), "--out", str(out)] + corpus) == 2
     assert capsys.readouterr().err == f"ontosem: {path}: invalid tables: {finding}\n"
+    assert not out.exists()
+
+
+# a surface a rewrite emits that `tokenize` reads back as other tokens, and a
+# known surface that a clitic rule splits when it is left as a clitic's host
+@pytest.mark.parametrize(
+    "option, mutate, finding",
+    [
+        ("--tables", lambda d: d["compounds"].append({"parts": ["c", "d"], "replacement": "x.y"}),
+         "compound ('c', 'd') emits 'x.y', which a second pass tokenizes into ['x', 'y']"),
+        ("--tables", lambda d: d["variants"].update(zz="x y"),
+         "variant 'zz' emits 'x y', which a second pass tokenizes into ['x', 'y']"),
+        ("--tables", lambda d: d["compounds"].append({"parts": ["c", "d"], "replacement": ""}),
+         "compound ('c', 'd') emits '', which a second pass tokenizes into []"),
+        ("--tables", lambda d: d["clitics"].append({"prefix": "q", "expansion": [""]}),
+         "clitic 'q' emits '', which a second pass tokenizes into []"),
+        ("--tables", lambda d: d["compounds"].append({"parts": ["c", "d"], "replacement": "تونس"}),
+         "compound ('c', 'd') emits 'تونس', which a second pass tokenizes into ['twns']"),
+        ("--tables", lambda d: d["variants"].update(ltwns="ltwns"),
+         "known surface 'ltwns' is a clitic host that a second pass splits into ['Ily', 'twns']"),
+        ("--domain", lambda d: d["instances"].append({"surface": "ltwns", "concepts": ["Arrival_City"]}),
+         "known surface 'ltwns' is a clitic host that a second pass splits into ['Ily', 'twns']"),
+    ],
+)
+def test_emitted_surfaces_and_clitic_hosts_that_break_the_fixed_point_exit_2(
+    out, tmp_path, capsys, option, mutate, finding
+):
+    path = _bundled_with(option, tmp_path, mutate)
+    tables = path if option == "--tables" else samples.tables_path()
+    corpus = ["--in", str(samples.corpus_path()), "--gold", str(samples.gold_path())]
+    assert run(["eval", option, str(path), "--out", str(out)] + corpus) == 2
+    assert capsys.readouterr().err == f"ontosem: {tables}: invalid tables: {finding}\n"
     assert not out.exists()
 
 

@@ -16,7 +16,6 @@ from ontosem.normalize import (
     TablesError,
     Token,
     expand_clitics,
-    fixed_point_findings,
     load_tables,
     merge_compounds,
     normalize,
@@ -503,30 +502,151 @@ def test_normalize_idempotent_on_shipped_corpus(tables, ontologies):
         assert again.surfaces() == once.surfaces(), raw.id
 
 
-def test_fixed_point_findings_name_what_a_clitic_rule_splits_again(tables, ontologies):
-    assert fixed_point_findings(tables, *ontologies) == []
+def write_tables(path, tables):
+    """Write `tables` as a tables file, so that `load_tables` checks them."""
+    doc = {
+        "format_version": 1,
+        "compounds": [{"parts": list(r.parts), "replacement": r.replacement} for r in tables.compounds],
+        "clitics": [{"prefix": r.prefix, "expansion": list(r.expansion)} for r in tables.clitics],
+        "variants": dict(tables.variants),
+    }
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    return path
+
+
+def two_passes(text, tables, *ontologies):
+    once = normalize(RawUtterance("u", text), tables, *ontologies).surfaces()
+    return once, normalize(RawUtterance("u", " ".join(once)), tables, *ontologies).surfaces()
+
+
+def load_findings(path, *ontologies):
+    with pytest.raises(TablesError) as err:
+        load_tables(path, *ontologies)
+    assert str(err.value).startswith(f"{path}: invalid tables: ")
+    return err.value.findings
+
+
+def test_load_tables_names_what_a_clitic_rule_splits_again(tmp_path, tables, ontologies):
+    path = tmp_path / "tables.json"
+    assert load_tables(write_tables(path, tables), *ontologies) == tables
     broken = NormalizationTables(
         tables.compounds, tables.clitics + (CliticRule("w", ("ltwns",)),), tables.variants
     )
-    once = normalize(RawUtterance("u", "wtwns"), broken, *ontologies).surfaces()
-    assert once == ["ltwns", "twns"]
-    again = normalize(RawUtterance("u", " ".join(once)), broken, *ontologies).surfaces()
-    assert again == ["Ily", "twns", "twns"]
-    assert fixed_point_findings(broken, *ontologies) == [
+    assert two_passes("wtwns", broken, *ontologies) == (["ltwns", "twns"], ["Ily", "twns", "twns"])
+    assert load_findings(write_tables(path, broken), *ontologies) == [
         "clitic 'w' emits 'ltwns', which a second pass splits into ['Ily', 'twns']"
     ]
     # the split depends on the ontologies: without them no remainder is known
-    assert fixed_point_findings(broken) == []
+    assert load_tables(path) == broken
     # a replacement that is a variant key leaves as its base, which is all a
     # second pass sees
     reduced = NormalizationTables(
         (CompoundRule(("c", "d"), "ltwns"),), tables.clitics, {"ltwns": "twns"}
     )
     assert normalize(RawUtterance("u", "c d"), reduced, *ontologies).surfaces() == ["twns"]
-    assert fixed_point_findings(reduced, *ontologies) == []
-    # an entry mapping a surface to itself rewrites nothing
+    assert load_tables(write_tables(path, reduced), *ontologies) == reduced
+    # an entry mapping a surface to itself rewrites nothing, but makes the
+    # surface a known clitic host
     identity = NormalizationTables(clitics=tables.clitics, variants={"ltwns": "ltwns"})
-    assert fixed_point_findings(identity, *ontologies) == []
+    assert two_passes("mnltwns", identity, *ontologies) == (["mn", "ltwns"], ["mn", "Ily", "twns"])
+    assert load_findings(write_tables(path, identity), *ontologies) == [
+        "known surface 'ltwns' is a clitic host that a second pass splits into ['Ily', 'twns']"
+    ]
+
+
+# each emits a surface that `tokenize` does not read back as itself
+@pytest.mark.parametrize(
+    "compounds, clitics, variants, text, once, again, finding",
+    [
+        ([CompoundRule(("c", "d"), "x.y")], [], {}, "c d", ["x.y"], ["x", "y"],
+         "compound ('c', 'd') emits 'x.y', which a second pass tokenizes into ['x', 'y']"),
+        ([], [], {"zz": "x y"}, "zz", ["x y"], ["x", "y"],
+         "variant 'zz' emits 'x y', which a second pass tokenizes into ['x', 'y']"),
+        ([CompoundRule(("c", "d"), "")], [], {}, "c d e", ["", "e"], ["e"],
+         "compound ('c', 'd') emits '', which a second pass tokenizes into []"),
+        ([], [CliticRule("q", ("",))], {}, "qtwns", ["", "twns"], ["twns"],
+         "clitic 'q' emits '', which a second pass tokenizes into []"),
+        ([CompoundRule(("c", "d"), "تونس")], [], {}, "c d", ["تونس"], ["twns"],
+         "compound ('c', 'd') emits 'تونس', which a second pass tokenizes into ['twns']"),
+    ],
+)
+def test_load_tables_rejects_an_emitted_surface_that_does_not_read_back(
+    tmp_path, tables, ontologies, compounds, clitics, variants, text, once, again, finding
+):
+    broken = NormalizationTables(
+        tables.compounds + tuple(compounds),
+        tables.clitics + tuple(clitics),
+        {**tables.variants, **variants},
+    )
+    assert two_passes(text, broken, *ontologies) == (once, again)
+    path = write_tables(tmp_path / "tables.json", broken)
+    assert load_findings(path, *ontologies) == load_findings(path) == [finding]  # no ontology needed
+
+
+@pytest.mark.parametrize(
+    "instances, relations",
+    [
+        ((Instance("ltwns", frozenset({"City"})),), ()),
+        ((), (Relation("to", frozenset({"ltwns"}), "City", "City"),)),
+    ],
+)
+def test_load_tables_rejects_a_known_surface_that_a_clitic_rule_splits(
+    tmp_path, tables, ontologies, instances, relations
+):
+    extra = Ontology(concepts=(Concept("City", "domain"),), instances=instances, relations=relations)
+    assert two_passes("mnltwns", tables, *ontologies, extra) == (["mn", "ltwns"], ["mn", "Ily", "twns"])
+    path = write_tables(tmp_path / "tables.json", tables)
+    assert load_findings(path, *ontologies, extra) == [
+        "known surface 'ltwns' is a clitic host that a second pass splits into ['Ily', 'twns']"
+    ]
+    assert load_tables(path, *ontologies) == tables
+
+
+# Clitic-prefix letters, surfaces the sample pair knows and surfaces that do
+# not read back, each alone or behind a clitic prefix, so that drawn rules
+# emit surfaces a second pass could split, merge or tokenize differently.
+PREFIXES = ("l", "mn", "w")
+word = st.tuples(
+    st.sampled_from(("",) + PREFIXES),
+    st.sampled_from(PREFIXES + ("twns", "Ily", "OtrAn", "trAn", "x.y", "x y", "", "تو")),
+).map("".join)
+
+
+tables_document = st.fixed_dictionaries({
+    "format_version": st.just(1),
+    "compounds": st.lists(st.fixed_dictionaries(
+        {"parts": st.lists(word, min_size=2, max_size=3)}, optional={"replacement": word}
+    ), max_size=3),
+    "clitics": st.lists(st.fixed_dictionaries(
+        {"prefix": st.sampled_from(PREFIXES), "expansion": st.lists(word, min_size=1, max_size=2)}
+    ), max_size=3),
+    "variants": st.dictionaries(word, word, max_size=3),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    doc=tables_document,
+    instances=st.sets(word, max_size=3),
+    triggers=st.sets(word, max_size=2),
+    words=st.lists(word, max_size=6),
+)
+def test_property_normalize_is_a_fixed_point_under_accepted_tables(
+    tmp_path_factory, ontologies, doc, instances, triggers, words
+):
+    extra = Ontology(
+        concepts=(Concept("C", "domain"),),
+        instances=tuple(Instance(s, frozenset({"C"})) for s in instances),
+        relations=(Relation("rel", frozenset(triggers), "C", "C"),),
+    )
+    path = tmp_path_factory.getbasetemp() / "generated_tables.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    try:
+        tables = load_tables(path, *ontologies, extra)
+    except TablesError:
+        return
+    once, again = two_passes(" ".join(words), tables, *ontologies, extra)
+    assert again == once
 
 
 def test_normalize_spans_strictly_increasing(tables, ontologies):
