@@ -288,8 +288,8 @@ def validate(ontology: Ontology) -> list[Finding]:
             add(Finding("bad-surface", "instance with empty surface form"))
         if not instance.concepts:
             add(Finding("empty-instance", f"instance {instance.surface!r} maps to no concept"))
-        for name in sorted(instance.concepts):
-            if name not in known:
+        if not instance.concepts <= known:
+            for name in sorted(instance.concepts - known):
                 add(Finding("dangling-instance-concept", f"instance {instance.surface!r} references unknown concept {name!r}"))
         if instance.surface in surfaces_seen:
             add(Finding("duplicate-surface", f"surface {instance.surface!r} claimed by more than one instance record"))

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from xml.sax.saxutils import escape, quoteattr
 
 from ._input import FORMAT_VERSION, read, reader
 from .ontology import (
@@ -40,6 +39,7 @@ from .ontology import (
     TaxonomyEdge,
     validate,
 )
+from .serialize import escape, quoteattr
 
 _RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 _RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -106,13 +106,23 @@ def ontology_from_document(doc: object, source: str = "<document>") -> Ontology:
         )
         for r in records("taxonomy")
     )
-    instances = tuple(
-        Instance(
-            surface=field(r, "surface", "instance"),
-            concepts=frozenset(field(r, "concepts", "instance", array=True)),
-        )
-        for r in records("instances")
-    )
+    # A lexicon has far fewer distinct concept lists than instances, so every
+    # instance with the same list holds the same set. The fields are type
+    # checked inline; `field` runs only on a record that fails the check and
+    # on a list not seen before, so the messages stay the reader's own.
+    shared: dict[tuple[str, ...], frozenset[str]] = {}
+    instances = []
+    for r in records("instances"):
+        surface, names = r.get("surface"), r.get("concepts")
+        if type(surface) is not str or type(names) is not list:
+            surface = field(r, "surface", "instance")
+            names = field(r, "concepts", "instance", array=True)
+        key = tuple(names)
+        try:
+            members = shared[key]
+        except (KeyError, TypeError):  # TypeError: the list holds an unhashable value
+            members = shared[key] = frozenset(field(r, "concepts", "instance", array=True))
+        instances.append(Instance(surface, members))
     relations = tuple(
         Relation(
             id=field(r, "id", "relation"),
@@ -122,7 +132,9 @@ def ontology_from_document(doc: object, source: str = "<document>") -> Ontology:
         )
         for r in records("relations")
     )
-    return Ontology(concepts=concepts, taxonomy=taxonomy, instances=instances, relations=relations)
+    return Ontology(
+        concepts=concepts, taxonomy=taxonomy, instances=tuple(instances), relations=relations
+    )
 
 
 def ontology_to_document(ontology: Ontology) -> dict:

@@ -28,7 +28,6 @@ fields; the interpreted variant appends resolution provenance columns
 from __future__ import annotations
 
 from typing import Iterable
-from xml.sax.saxutils import escape, quoteattr
 
 from .annotate import AnnotatedUtterance, SEMANTIC_RELATION_LABEL, Status, TokenAnnotation, committed_label
 from .interpret import InterpretedUtterance, Resolution
@@ -40,6 +39,24 @@ INTERPRETED_TSV_HEADER = (
 )
 
 _ABSENT = "-"
+
+
+# `xml.sax.saxutils` has these two, but importing it imports `urllib.request`
+# and with it the network stack (`http.client`, `email`, `ssl`, `socket`)
+def escape(text: str) -> str:
+    """`text` with &, < and > escaped, as `xml.sax.saxutils.escape` gives it."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(text: str) -> str:
+    """`text` escaped and quoted as an XML attribute value, as
+    `xml.sax.saxutils.quoteattr` gives it."""
+    text = escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 def _token_xml(token: TokenAnnotation) -> list[str]:

@@ -1,4 +1,5 @@
-"""Memory the pipeline's results hold per token, measured with tracemalloc.
+"""Memory the pipeline's results hold per token, and a loaded lexicon per
+instance, measured with tracemalloc.
 
 The per-token and per-record types are slotted dataclasses and annotation
 shares the ontology index's label sets, so a batch's results hold about
@@ -9,6 +10,7 @@ deterministic, unlike a process-wide peak RSS.
 """
 
 import gc
+import json
 import tracemalloc
 from dataclasses import fields
 
@@ -27,10 +29,13 @@ from ontosem.normalize import (
     Token,
     normalize_all,
 )
-from ontosem.ontology import Concept, Finding, Instance, Relation, TaxonomyEdge
+from ontosem.ontology import Concept, Finding, Instance, Relation, TaxonomyEdge, lookup
+from ontosem.ontology_io import load_ontology
 
 BYTES_PER_TOKEN_BOUND = 680
 COPIES = 40
+BYTES_PER_INSTANCE_BOUND = 200
+INSTANCES = 20_000
 
 
 def test_bytes_held_per_token():
@@ -54,6 +59,36 @@ def test_bytes_held_per_token():
     tokens = sum(len(u.tokens) for u in normalized)
     assert len(interpreted) == len(raws) and tokens > 2000
     assert held / tokens < BYTES_PER_TOKEN_BOUND, f"{held / tokens:.0f} B per token"
+
+
+def test_bytes_held_per_loaded_instance(tmp_path):
+    """Instances with equal concept lists share one set, so a loaded lexicon
+    holds about 130 B per instance, surface index included (about 430 B with
+    a set per record). The bound fails on a set per record again."""
+    lists = [["Alpha"], ["Beta"], ["Alpha", "Gamma"], ["Beta", "Gamma"]]
+    doc = {
+        "format_version": 1,
+        "kind": "domain",
+        "concepts": [{"name": name} for name in ("Alpha", "Beta", "Gamma")],
+        "instances": [
+            {"surface": f"w{i:05d}", "concepts": lists[i % len(lists)]} for i in range(INSTANCES)
+        ],
+    }
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    del doc
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ontology = load_ontology(path)
+        assert lookup("w00000", [ontology])[0] == {"Alpha"}  # builds the lazy surface index
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ontology.instances) == INSTANCES
+    assert held / INSTANCES < BYTES_PER_INSTANCE_BOUND, f"{held / INSTANCES:.0f} B per instance"
 
 
 RECORDS = [

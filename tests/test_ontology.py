@@ -188,6 +188,17 @@ def test_dangling_relation_target():
     assert _codes(findings) == ["dangling-relation-concept"]
 
 
+def test_dangling_instance_concepts_in_sorted_order():
+    ontology = Ontology(
+        concepts=(Concept("B", "domain"),),
+        instances=(Instance("s", frozenset({"Zed", "B", "Alpha"})),),
+    )
+    assert [str(f) for f in validate(ontology)] == [
+        "dangling-instance-concept: instance 's' references unknown concept 'Alpha'",
+        "dangling-instance-concept: instance 's' references unknown concept 'Zed'",
+    ]
+
+
 def test_taxonomy_self_loop_is_cycle():
     ontology = Ontology(
         concepts=(Concept("A", "domain"),),

@@ -102,20 +102,35 @@ def _relation(relation_id, key, value):
     return mutate
 
 
-# the bundled domain ontology with one field replaced
+def _bad_concepts_then_bad_surface(doc):
+    doc["instances"][1]["concepts"] = [None]
+    doc["instances"][-1]["surface"] = 5
+
+
+# the bundled domain ontology with one field replaced; each instance case runs
+# on the first record and on the last, after the loader has accepted and
+# shared the concept sets of all the others (the last list repeats ["Train"])
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (_set("instances", 0, "concepts", 5), "instance 'concepts' must be an array of strings"),
-        (_set("instances", 0, "concepts", ["Train", 5]), "instance 'concepts' must be an array of strings"),
-        (_set("instances", 0, "surface", ["a"]), "instance 'surface' must be a string"),
+        *(
+            case
+            for index in (0, -1)
+            for case in (
+                (_set("instances", index, "concepts", 5), "instance 'concepts' must be an array of strings"),
+                (_set("instances", index, "concepts", ["Train", 5]), "instance 'concepts' must be an array of strings"),
+                (_set("instances", index, "concepts", [["Train"]]), "instance 'concepts' must be an array of strings"),
+                (_set("instances", index, "surface", ["a"]), "instance 'surface' must be a string"),
+                (lambda doc, i=index: doc["instances"][i].pop("surface"), "instance record missing 'surface'"),
+            )
+        ),
+        (_bad_concepts_then_bad_surface, "instance 'concepts' must be an array of strings"),
         (_set("concepts", 0, "gloss", ["a"]), "concept 'gloss' must be a string"),
         (_set("concepts", 0, "kind", None), "concept 'kind' must be a string"),
         (_set("concepts", 0, "name", 7), "concept 'name' must be a string"),
         (_set("taxonomy", 0, "parent", {}), "taxonomy 'parent' must be a string"),
         (_relation("rel_class", "triggers", "Ily"), "relation 'triggers' must be an array of strings"),
         (_relation("rel_class", "target", None), "relation 'target' must be a string"),
-        (lambda doc: doc["instances"][0].pop("surface"), "instance record missing 'surface'"),
         (lambda doc: doc.pop("format_version"), "unsupported format_version None (expected 1)"),
         (lambda doc: doc.__setitem__("relations", {}), "'relations' must be an array of objects"),
     ],

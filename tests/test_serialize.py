@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+import xml.sax.saxutils
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import annotate_surfaces
 from ontosem import samples
@@ -8,9 +14,13 @@ from ontosem.interpret import interpret
 from ontosem.serialize import (
     annotated_to_tsv,
     annotated_to_xml,
+    escape,
     interpreted_to_tsv,
     interpreted_to_xml,
+    quoteattr,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +105,26 @@ def test_interpreted_tsv_provenance_columns(ontologies, time_question_annotated)
     unchanged = lines[3].split("\t")
     assert unchanged[6] == "unchanged"
     assert unchanged[7] == "-"
+
+
+# the characters XML escaping treats specially, beside plain letters and Arabic
+XML_TEXT = st.text(st.sampled_from("&<>\"'\n\r\t") | st.characters(whitelist_categories=("Lu", "Ll"))
+                   | st.characters(min_codepoint=0x0600, max_codepoint=0x06FF))
+
+
+@given(XML_TEXT)
+def test_escape_and_quoteattr_equal_the_standard_library(text):
+    assert escape(text) == xml.sax.saxutils.escape(text)
+    assert quoteattr(text) == xml.sax.saxutils.quoteattr(text)
+
+
+def test_import_leaves_out_the_network_stack():
+    """`xml.sax.saxutils` imports `urllib.request`; the package escapes XML
+    itself so that no process importing it loads the network stack."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    code = ("import sys, ontosem.cli; "
+            "print(sorted(m for m in ('urllib.request', 'http.client', 'email', 'ssl') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
