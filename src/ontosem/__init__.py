@@ -22,7 +22,6 @@ from .corpus import (
     OOV_LABEL,
     load_gold,
     load_utterances,
-    save_gold,
     stats,
 )
 from .evaluate import (
@@ -66,11 +65,11 @@ from .ontology import (
     Ontology,
     Relation,
     TaxonomyEdge,
-    UnknownConceptError,
     UnknownRelationError,
     lookup,
     merge,
     relation_target,
+    trigger_instance_overlap,
     validate,
 )
 from .ontology_io import (

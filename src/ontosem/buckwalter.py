@@ -76,6 +76,9 @@ BUCKWALTER_MAP = {
     "؟": "?",
     "٠": "0", "١": "1", "٢": "2", "٣": "3", "٤": "4",
     "٥": "5", "٦": "6", "٧": "7", "٨": "8", "٩": "9",
+    # Extended Arabic-Indic (Persian/Urdu) digits, U+06F0-U+06F9
+    "۰": "0", "۱": "1", "۲": "2", "۳": "3", "۴": "4",
+    "۵": "5", "۶": "6", "۷": "7", "۸": "8", "۹": "9",
 }
 
 _TABLE = str.maketrans(BUCKWALTER_MAP)

@@ -30,7 +30,7 @@ from .evaluate import (
 )
 from .interpret import TIE_BREAKS, interpret_all
 from .normalize import TablesError, load_tables, normalize_all
-from .ontology import merge, validate
+from .ontology import merge, trigger_instance_overlap, validate
 from .ontology_io import (
     OntologyFormatError,
     OntologyValidationError,
@@ -137,9 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_pipeline(args: argparse.Namespace):
-    """Load the ontology pair, unmerged, and the tables, checked against the
-    pair; normalize and annotate."""
+    """Load the ontology pair, unmerged, and check that no surface is an
+    instance in one and a trigger in the other; load the tables, checked
+    against the pair; normalize and annotate."""
     ontologies = (load_ontology(args.domain), load_ontology(args.task))
+    if findings := trigger_instance_overlap(ontologies):
+        raise OntologyValidationError(findings)
     tables = load_tables(args.tables, *ontologies)
     utterances = load_utterances(args.input)
     normalized = normalize_all(utterances, tables, *ontologies)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from ._input import read
 from .annotate import SEMANTIC_RELATION_LABEL
@@ -88,6 +88,7 @@ def load_gold(path: str | Path, *ontologies: Ontology) -> dict[str, GoldUtteranc
     path = Path(path)
     known = {SEMANTIC_RELATION_LABEL, OOV_LABEL}.union(*(o.concept_names for o in ontologies))
     grouped: dict[str, list[GoldToken]] = {}
+    block = None  # the id of the utterance the previous token line belongs to
     for lineno, line in enumerate(read(path, CorpusFormatError, str.splitlines), 1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -103,7 +104,11 @@ def load_gold(path: str | Path, *ontologies: Ontology) -> dict[str, GoldUtteranc
             raise CorpusFormatError(f"{path}:{lineno}: token index {index_text!r} is not an integer") from None
         if ontologies and label not in known:
             raise UnknownGoldLabelError(f"{path}:{lineno}: unknown gold label {label!r}")
-        tokens = grouped.setdefault(utterance_id, [])
+        if utterance_id != block or index == 0:  # the line starts an utterance
+            if utterance_id in grouped:
+                raise DuplicateUtteranceIdError(f"{path}:{lineno}: duplicate id {utterance_id!r}")
+            block = utterance_id
+            tokens = grouped[utterance_id] = []
         if index != len(tokens):
             raise CorpusFormatError(
                 f"{path}:{lineno}: token index {index} out of order (expected {len(tokens)})"
@@ -112,23 +117,11 @@ def load_gold(path: str | Path, *ontologies: Ontology) -> dict[str, GoldUtteranc
     return {uid: GoldUtterance(id=uid, tokens=tuple(tokens)) for uid, tokens in grouped.items()}
 
 
-def save_gold(gold: dict[str, GoldUtterance], path: str | Path) -> None:
-    """Write a gold mapping back to the TSV form load_gold() reads."""
-    lines = ["# ontosem gold corpus v1: utterance_id<TAB>token_index<TAB>surface<TAB>gold_label"]
-    for utterance in gold.values():
-        for token in utterance.tokens:
-            lines.append(f"{utterance.id}\t{token.index}\t{token.surface}\t{token.label}")
-        lines.append("")
-    Path(path).write_text("\n".join(lines), encoding="utf-8")
-
-
-def stats(
-    utterances: Sequence[RawUtterance],
-    tokenizer: Callable[[str], Iterable[str]] = str.split,
-) -> CorpusStats:
-    """Utterance/word counts and their ratio, over raw (pre-normalization) words."""
+def stats(utterances: Sequence[RawUtterance]) -> CorpusStats:
+    """Utterance/word counts and their ratio, over raw (pre-normalization)
+    whitespace-separated words."""
     utterance_count = len(utterances)
-    word_count = sum(len(list(tokenizer(u.text))) for u in utterances)
+    word_count = sum(len(u.text.split()) for u in utterances)
     average = word_count / utterance_count if utterance_count else None
     return CorpusStats(
         utterance_count=utterance_count,

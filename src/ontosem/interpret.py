@@ -49,16 +49,6 @@ class InterpretedUtterance:
     tokens: tuple[TokenAnnotation, ...]
     resolutions: tuple[Resolution, ...]
 
-    @property
-    def consumed_relations(self) -> frozenset[tuple[str, int]]:
-        """The marker occurrences used up, as (relation id, marker token index)
-        pairs, read off the RESOLVED resolutions."""
-        return frozenset(
-            (r.via_relation, r.relation_token_index)
-            for r in self.resolutions
-            if r.outcome == RESOLVED and r.via_relation is not None
-        )
-
 
 def _prefers_left(tie_break: str) -> bool:
     if tie_break not in TIE_BREAKS:

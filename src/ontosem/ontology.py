@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 DOMAIN = "domain"
 TASK = "task"
@@ -27,10 +27,6 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 # the one empty set every lookup miss returns and every token without labels
 # or relations holds, so a miss allocates nothing
 EMPTY: frozenset[str] = frozenset()
-
-
-class UnknownConceptError(KeyError):
-    """Raised when a concept name is not declared in the ontology."""
 
 
 class UnknownRelationError(KeyError):
@@ -111,21 +107,6 @@ class Ontology:
         return frozenset(c.name for c in self.concepts)
 
     @cached_property
-    def _concept_by_name(self) -> dict[str, Concept]:
-        index: dict[str, Concept] = {}
-        for concept in self.concepts:
-            index.setdefault(concept.name, concept)
-        return index
-
-    @cached_property
-    def _parent_of(self) -> dict[str, str]:
-        # first declared edge wins; extra parents are validation findings
-        index: dict[str, str] = {}
-        for edge in self.taxonomy:
-            index.setdefault(edge.child, edge.parent)
-        return index
-
-    @cached_property
     def _instances_by_surface(self) -> dict[str, frozenset[str]]:
         index: dict[str, frozenset[str]] = {}
         for instance in self.instances:
@@ -151,30 +132,11 @@ class Ontology:
 
     # -- queries -----------------------------------------------------------
 
-    def concept(self, name: str) -> Concept:
-        try:
-            return self._concept_by_name[name]
-        except KeyError:
-            raise UnknownConceptError(name) from None
-
     def relation(self, relation_id: str) -> Relation:
         try:
             return self._relation_by_id[relation_id]
         except KeyError:
             raise UnknownRelationError(relation_id) from None
-
-    def ancestors(self, name: str) -> list[str]:
-        """Transitive parents of a concept, nearest first; [] for roots."""
-        if name not in self._concept_by_name:
-            raise UnknownConceptError(name)
-        chain: list[str] = []
-        seen = {name}
-        current = self._parent_of.get(name)
-        while current is not None and current not in seen:
-            chain.append(current)
-            seen.add(current)
-            current = self._parent_of.get(current)
-        return chain
 
 
 def lookup(
@@ -296,7 +258,6 @@ def validate(ontology: Ontology) -> list[Finding]:
         surfaces_seen.add(instance.surface)
 
     relation_ids_seen: set[str] = set()
-    trigger_claims: dict[str, str] = {}
     for relation in ontology.relations:
         if not _IDENT_RE.match(relation.id):
             add(Finding("bad-relation-id", f"relation id {relation.id!r} is not an identifier"))
@@ -308,16 +269,29 @@ def validate(ontology: Ontology) -> list[Finding]:
         for endpoint, role in ((relation.source, "source"), (relation.target, "target")):
             if endpoint not in known:
                 add(Finding("dangling-relation-concept", f"relation {relation.id!r} {role} {endpoint!r} is not a declared concept"))
-        for trigger in sorted(relation.triggers):
-            if not trigger:
-                add(Finding("bad-surface", f"relation {relation.id!r} has an empty trigger form"))
-            trigger_claims.setdefault(trigger, relation.id)
+        if "" in relation.triggers:
+            add(Finding("bad-surface", f"relation {relation.id!r} has an empty trigger form"))
 
-    # a surface form is either a concept instance or a relation marker, never both
-    for surface in sorted(surfaces_seen & set(trigger_claims)):
-        add(Finding("trigger-instance-overlap", f"surface {surface!r} is both an instance and a trigger of relation {trigger_claims[surface]!r}"))
-
+    findings.extend(trigger_instance_overlap([ontology]))
     return findings
+
+
+def trigger_instance_overlap(ontologies: Sequence[Ontology]) -> list[Finding]:
+    """A surface form is either a concept instance or a relation marker, never
+    both: one finding per surface that is an instance in one of `ontologies`
+    and a trigger in one of them, naming the least relation id it triggers.
+    For a pair these are the overlap findings of `validate(merge(*pair))`,
+    found without the merge by a loop over the triggers."""
+    claims: dict[str, str] = {}
+    for ontology in ontologies:
+        for relation in ontology.relations:
+            for trigger in relation.triggers:
+                claims[trigger] = min(claims.get(trigger, relation.id), relation.id)
+    return [
+        Finding("trigger-instance-overlap", f"surface {surface!r} is both an instance and a trigger of relation {claims[surface]!r}")
+        for surface in sorted(claims)
+        if any(surface in ontology._instances_by_surface for ontology in ontologies)
+    ]
 
 
 def _cycle_nodes(parents_of: dict[str, list[str]]) -> list[str]:

@@ -66,30 +66,12 @@ def parse_ontology_file(path: str | Path) -> Ontology:
     UTF-8, bad JSON, or a section or field of the wrong JSON type.
     """
     path = Path(path)
-    return ontology_from_document(read(path, OntologyFormatError), source=str(path))
-
-
-def load_ontology(path: str | Path) -> Ontology:
-    """Parse, build and validate an ontology file.
-
-    Raises OntologyFormatError for unparseable documents and
-    OntologyValidationError when the parsed ontology has a non-empty
-    validation report.
-    """
-    ontology = parse_ontology_file(path)
-    findings = validate(ontology)
-    if findings:
-        raise OntologyValidationError(findings)
-    return ontology
-
-
-def ontology_from_document(doc: object, source: str = "<document>") -> Ontology:
-    """Build an (unvalidated) Ontology from a parsed native document."""
-    records, field = reader(doc, source, OntologyFormatError)
+    doc = read(path, OntologyFormatError)
+    records, field = reader(doc, str(path), OntologyFormatError)
     default_kind = doc.get("kind")
     if default_kind not in KINDS:
         raise OntologyFormatError(
-            f"{source}: 'kind' must be one of {list(KINDS)}, got {default_kind!r}"
+            f"{path}: 'kind' must be one of {list(KINDS)}, got {default_kind!r}"
         )
     concepts = tuple(
         Concept(
@@ -135,6 +117,20 @@ def ontology_from_document(doc: object, source: str = "<document>") -> Ontology:
     return Ontology(
         concepts=concepts, taxonomy=taxonomy, instances=tuple(instances), relations=relations
     )
+
+
+def load_ontology(path: str | Path) -> Ontology:
+    """Parse, build and validate an ontology file.
+
+    Raises OntologyFormatError for unparseable documents and
+    OntologyValidationError when the parsed ontology has a non-empty
+    validation report.
+    """
+    ontology = parse_ontology_file(path)
+    findings = validate(ontology)
+    if findings:
+        raise OntologyValidationError(findings)
+    return ontology
 
 
 def ontology_to_document(ontology: Ontology) -> dict:

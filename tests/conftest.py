@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 
 from ontosem.annotate import AnnotatedUtterance, Status, annotate
+from ontosem.interpret import RESOLVED, InterpretedUtterance
 from ontosem.normalize import NormalizedUtterance, Token
 from ontosem.ontology import Concept, Instance, Ontology, Relation
 
@@ -47,6 +48,16 @@ def annotate_surfaces(surfaces, *ontologies, uid="u"):
 def enumerate_surface_tuples(alphabet, max_length):
     for length in range(1, max_length + 1):
         yield from itertools.product(alphabet, repeat=length)
+
+
+def consumed_relations(interpreted: InterpretedUtterance) -> frozenset[tuple[str, int]]:
+    """The marker occurrences an interpretation used up, as (relation id,
+    marker token index) pairs, read off its RESOLVED resolutions."""
+    return frozenset(
+        (r.via_relation, r.relation_token_index)
+        for r in interpreted.resolutions
+        if r.outcome == RESOLVED and r.via_relation is not None
+    )
 
 
 def oracle_resolve(

@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     SYNTH,
     annotate_surfaces,
+    consumed_relations,
     enumerate_surface_tuples,
     oracle_interpret,
     surface_vocabulary,
@@ -165,10 +166,10 @@ def test_property_soundness_and_consumption(domain, task, tables):
         assert len(interpreted.tokens) == len(annotated.tokens)
 
         marker_occurrences = {j for j, t in enumerate(annotated.tokens) if t.relation_ids}
-        used = [j for _, j in interpreted.consumed_relations]
+        used = [j for _, j in consumed_relations(interpreted)]
         assert len(used) == len(set(used))  # no occurrence consumed twice
         assert set(used) <= marker_occurrences
-        assert len(interpreted.consumed_relations) <= len(marker_occurrences)
+        assert len(consumed_relations(interpreted)) <= len(marker_occurrences)
 
         for resolution in interpreted.resolutions:
             if resolution.outcome == RESOLVED:

@@ -141,6 +141,22 @@ def test_pipeline_commands_read_the_pair_unmerged(out, monkeypatch, command):
         assert out.read_bytes() == samples.regression_report_path().read_bytes()
 
 
+@pytest.mark.parametrize("command", PIPELINE_COMMANDS)
+def test_pipeline_commands_reject_a_pair_that_validate_rejects(out, tmp_path, capsys, command):
+    # each file is valid alone; the task claims the domain's trigger `klAs`
+    doc = json.loads(samples.task_ontology_path().read_text(encoding="utf-8"))
+    doc["instances"].append({"surface": "klAs", "concepts": ["Booking_Request"]})
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(doc), encoding="utf-8")
+    detail = "trigger-instance-overlap: surface 'klAs' is both an instance and a trigger of relation 'rel_class'"
+
+    assert run([*PIPELINE_COMMANDS[command], "--task", str(task), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"ontosem: ontology failed validation: {detail}\n"
+    assert not out.exists()
+    assert run(["validate", "--task", str(task), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"merged: {detail}\n"
+
+
 @pytest.mark.parametrize("command", ["validate", "export-owl"])
 def test_merged_document_commands_merge_the_pair(out, monkeypatch, command):
     merged = []

@@ -7,10 +7,9 @@ from ontosem.corpus import (
     UnknownGoldLabelError,
     load_gold,
     load_utterances,
-    save_gold,
     stats,
 )
-from ontosem.normalize import RawUtterance, normalize_all, tokenize
+from ontosem.normalize import RawUtterance, normalize_all
 from ontosem.ontology import merge
 
 
@@ -113,11 +112,39 @@ def test_shipped_gold_aligns_with_normalized_corpus(merged):
         assert norm.surfaces() == [t.surface for t in gold[norm.id].tokens], norm.id
 
 
+def write_gold(gold, path):
+    """Write a gold mapping in the TSV form `load_gold` reads."""
+    lines = ["# ontosem gold corpus v1: utterance_id<TAB>token_index<TAB>surface<TAB>gold_label"]
+    for utterance in gold.values():
+        for token in utterance.tokens:
+            lines.append(f"{utterance.id}\t{token.index}\t{token.surface}\t{token.label}")
+        lines.append("")
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
 def test_gold_round_trip(tmp_path, merged):
     gold = samples.load_sample_gold(merged)
     path = tmp_path / "g.tsv"
-    save_gold(gold, path)
+    write_gold(gold, path)
     assert load_gold(path, merged) == gold
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # u1 split across two blocks by u2
+        ("u1\t0\tOtrAn\tTrain\nu2\t0\tOtrAn\tTrain\nu1\t1\tOtrAn\tTrain\n", 3),
+        # a whole u1 block repeated
+        ("u1\t0\tOtrAn\tTrain\nu1\t1\tOtrAn\tTrain\n\nu1\t0\tOtrAn\tTrain\n", 4),
+    ],
+    ids=["split", "repeated"],
+)
+def test_gold_duplicate_id_rejected(tmp_path, text, line):
+    path = tmp_path / "g.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DuplicateUtteranceIdError) as err:
+        load_gold(path)
+    assert str(err.value) == f"{path}:{line}: duplicate id 'u1'"
 
 
 # -- stats ------------------------------------------------------------------------
@@ -146,11 +173,7 @@ def test_stats_invariant_under_reordering():
     assert stats(list(reversed(utterances))) == forward
 
 
-def test_stats_word_count_matches_tokenizer_sum():
+def test_stats_word_count_matches_whitespace_split_sum():
     utterances = samples.load_sample_corpus()
-
-    def pipeline_tokens(text):
-        return [t.surface for t in tokenize(RawUtterance("x", text))]
-
-    result = stats(utterances, tokenizer=pipeline_tokens)
-    assert result.word_count == sum(len(pipeline_tokens(u.text)) for u in utterances)
+    result = stats(utterances)
+    assert result.word_count == sum(len(u.text.split()) for u in utterances)

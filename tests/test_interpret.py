@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     SYNTH,
     annotate_surfaces,
+    consumed_relations,
     enumerate_surface_tuples,
     oracle_interpret,
     oracle_resolve,
@@ -75,7 +76,7 @@ def test_unambiguous_utterance_is_identity(ontologies):
     interpreted = interpret(annotated, *ontologies)
     assert interpreted.tokens == annotated.tokens
     assert all(r.outcome == UNCHANGED for r in interpreted.resolutions)
-    assert interpreted.consumed_relations == frozenset()
+    assert consumed_relations(interpreted) == frozenset()
 
 
 def test_no_marker_leaves_token_unresolved(ontologies):
@@ -142,7 +143,7 @@ def test_marker_occurrence_consumed_once():
     first, second = interpreted.resolutions[0], interpreted.resolutions[2]
     assert first.outcome == RESOLVED and first.relation_token_index == 1
     assert second.outcome == UNRESOLVED
-    assert interpreted.consumed_relations == {("rel_a", 1)}
+    assert consumed_relations(interpreted) == {("rel_a", 1)}
 
 
 def test_repeated_marker_surfaces_are_distinct_occurrences():
@@ -150,7 +151,7 @@ def test_repeated_marker_surfaces_are_distinct_occurrences():
     interpreted = interpret(annotated, SYNTH)
     assert interpreted.resolutions[0].relation_token_index == 1
     assert interpreted.resolutions[3].relation_token_index == 2
-    assert len(interpreted.consumed_relations) == 2
+    assert len(consumed_relations(interpreted)) == 2
 
 
 def test_resolve_token_validates_tie_break(ontologies):
@@ -178,8 +179,8 @@ def test_soundness_and_consumption_on_shipped_corpus(ontologies, tables):
         annotated = annotate(normalize(raw, tables, *ontologies), *ontologies)
         interpreted = interpret(annotated, *ontologies)
         marker_count = sum(1 for t in annotated.tokens if t.relation_ids)
-        assert len(interpreted.consumed_relations) <= marker_count
-        indexes = [j for _, j in interpreted.consumed_relations]
+        assert len(consumed_relations(interpreted)) <= marker_count
+        indexes = [j for _, j in consumed_relations(interpreted)]
         assert len(indexes) == len(set(indexes))
         for resolution in interpreted.resolutions:
             if resolution.outcome == RESOLVED:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from ontosem import samples
 from ontosem.annotate import annotate_all, committed_label
-from ontosem.corpus import load_utterances
+from ontosem.corpus import load_gold, load_utterances
 from ontosem.interpret import interpret_all
 from ontosem.normalize import load_tables, normalize_all
 from ontosem.ontology import merge
@@ -59,3 +59,6 @@ def test_inflated_lexicon_keeps_committed_labels(tmp_path):
         assert tokens[:len(original)] == original, uid
         noise = tokens[len(original):]
         assert noise and all(label is None for _, label in noise), uid
+
+    gold = load_gold(inputs.gold, domain, task)
+    assert {uid: tuple((t.surface, t.label) for t in u.tokens) for uid, u in gold.items()} == inputs.gold_of

@@ -109,6 +109,16 @@ def test_transliterate_preserves_length():
     assert len(transliterate(text)) == len(text)
 
 
+def test_transliterate_maps_both_arabic_digit_sets():
+    # Arabic-Indic U+0660-U+0669 and Extended Arabic-Indic U+06F0-U+06F9
+    assert transliterate("٠١٢٣٤٥٦٧٨٩") == "0123456789"
+    assert transliterate("۰۱۲۳۴۵۶۷۸۹") == "0123456789"
+    raw = RawUtterance("u", "sAEh ۱۲؟")
+    tokens = tokenize(raw)
+    assert surfaces(tokens) == ["sAEh", "12"]
+    assert tokens[1].span == (5, 7) and raw.text[5:7] == "۱۲"
+
+
 # -- tokenize --------------------------------------------------------------------
 
 def test_tokenize_strips_trailing_question_mark():

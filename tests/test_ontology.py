@@ -11,11 +11,11 @@ from ontosem.ontology import (
     Ontology,
     Relation,
     TaxonomyEdge,
-    UnknownConceptError,
     UnknownRelationError,
     lookup,
     merge,
     relation_target,
+    trigger_instance_overlap,
     validate,
 )
 from ontosem import samples
@@ -116,18 +116,15 @@ def test_referential_integrity_of_relations(merged):
 
 
 # -- taxonomy ---------------------------------------------------------------
+# No stage reads the taxonomy; the chains are checked on the records, through
+# the brute-force walk above.
 
 def test_ancestors_of_sub_concept(domain):
-    assert domain.ancestors("Exact_Hour") == ["Departure_Hour"]
+    assert brute_force_ancestors(domain, "Exact_Hour") == ["Departure_Hour"]
 
 
 def test_ancestors_of_root(domain):
-    assert domain.ancestors("Train") == []
-
-
-def test_ancestors_unknown_concept(domain):
-    with pytest.raises(UnknownConceptError):
-        domain.ancestors("Not_A_Concept")
+    assert brute_force_ancestors(domain, "Train") == []
 
 
 def test_ancestors_three_deep_chain_matches_oracle():
@@ -141,15 +138,16 @@ def test_ancestors_three_deep_chain_matches_oracle():
         taxonomy=(TaxonomyEdge("C", "B"), TaxonomyEdge("B", "A")),
     )
     assert validate(ontology) == []
-    assert ontology.ancestors("C") == ["B", "A"]
-    assert ontology.ancestors("C") == brute_force_ancestors(ontology, "C")
-    assert ontology.ancestors("B") == brute_force_ancestors(ontology, "B")
-    assert ontology.ancestors("A") == []
+    assert brute_force_ancestors(ontology, "C") == ["B", "A"]
+    assert brute_force_ancestors(ontology, "B") == ["A"]
+    assert brute_force_ancestors(ontology, "A") == []
 
 
 def test_no_concept_is_its_own_ancestor(merged):
+    # every walk up the taxonomy ends at a root, so none comes back to its start
     for concept in merged.concepts:
-        assert concept.name not in merged.ancestors(concept.name)
+        top = [concept.name, *brute_force_ancestors(merged, concept.name)][-1]
+        assert all(edge.child != top for edge in merged.taxonomy), concept.name
 
 
 # -- sample ontology counts ---------------------------------------------------
@@ -283,7 +281,7 @@ def test_merge_unions_identical_concept_declarations(domain, task):
     assert len(trains) == 1
     assert trains[0].kind == "domain"
     assert trains[0].gloss is not None  # gloss survives regardless of merge order
-    assert merge(task, domain).concept("Train").gloss == trains[0].gloss
+    assert {c.name: c for c in merge(task, domain).concepts}["Train"].gloss == trains[0].gloss
 
 
 def test_merge_unions_instance_concept_sets():
@@ -345,6 +343,27 @@ def test_property_pair_answers_equal_the_merged_ones(pair, surface, relation_id)
             relation_target(relation_id, pair)
     else:
         assert relation_target(relation_id, pair) == target
+
+
+def test_pair_overlap_names_a_surface_each_ontology_holds_once(domain, task):
+    # the task claims the domain's trigger `klAs` as an instance
+    claimed = Ontology(
+        concepts=task.concepts,
+        instances=task.instances + (Instance("klAs", frozenset({"Booking_Request"})),),
+        relations=task.relations,
+    )
+    assert validate(domain) == validate(claimed) == []
+    assert [str(f) for f in trigger_instance_overlap((domain, claimed))] == [
+        "trigger-instance-overlap: surface 'klAs' is both an instance and a trigger of relation 'rel_class'"
+    ]
+    assert trigger_instance_overlap((domain, task)) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.tuples(generated_ontology("first"), generated_ontology("second")))
+def test_property_pair_overlap_equals_the_merged_one(pair):
+    merged = [f for f in validate(merge(*pair)) if f.code == "trigger-instance-overlap"]
+    assert trigger_instance_overlap(pair) == merged
 
 
 def test_only_the_ontology_module_reads_its_indexes():

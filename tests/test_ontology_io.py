@@ -87,7 +87,7 @@ def test_surrogate_pair_escape_loads(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert "\\ud83d\\ude00" in path.read_text(encoding="utf-8")
     name = doc["concepts"][0]["name"]
-    assert load_ontology(path).concept(name).gloss == "\U0001F600"
+    assert {c.name: c for c in load_ontology(path).concepts}[name].gloss == "\U0001F600"
 
 
 def _set(section, index, key, value):
@@ -155,7 +155,7 @@ def test_gloss_may_be_null_or_absent(tmp_path, gloss):
     path = tmp_path / "domain.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     name = doc["concepts"][0]["name"]
-    assert load_ontology(path).concept(name).gloss is None
+    assert {c.name: c for c in load_ontology(path).concepts}[name].gloss is None
 
 
 def test_load_invalid_ontology_embeds_findings(tmp_path):
@@ -176,7 +176,7 @@ def test_concept_records_inherit_document_kind(tmp_path):
     path = tmp_path / "inherit.json"
     doc = {"format_version": 1, "kind": "task", "concepts": [{"name": "A"}]}
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert load_ontology(path).concept("A").kind == "task"
+    assert {c.name: c for c in load_ontology(path).concepts}["A"].kind == "task"
 
 
 # -- saving / round trip ---------------------------------------------------------
