@@ -39,6 +39,7 @@ from .ontology_io import (
     parse_ontology_file,
 )
 from .serialize import (
+    XMLCharacterError,
     annotated_to_tsv,
     annotated_to_xml,
     interpreted_to_tsv,
@@ -186,9 +187,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ontologies, annotated = _run_pipeline(args)
     interpreted = interpret_all(annotated, *ontologies, tie_break=args.tie_break)
     gold = load_gold(args.gold, *ontologies)
-    result = report(
-        interpreted, gold, unresolved_policy=args.unresolved, include_markers=True
-    )
+    result = report(interpreted, gold, unresolved_policy=args.unresolved)
     _write_out(args.out, _json_text(report_to_document(result)))
     _info(render_report(result))
     return EXIT_OK
@@ -259,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         _info(f"ontosem: {err.filename}: {err.strerror}" if err.filename else f"ontosem: {err}")
         return EXIT_INPUT
-    except (OntologyFormatError, CorpusFormatError) as err:
+    except (OntologyFormatError, CorpusFormatError, XMLCharacterError) as err:
         _info(f"ontosem: {err}")
         return EXIT_INPUT
     except TablesError as err:

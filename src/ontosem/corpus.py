@@ -63,7 +63,8 @@ def load_utterances(path: str | Path) -> list[RawUtterance]:
     path = Path(path)
     utterances: list[RawUtterance] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(read(path, CorpusFormatError, str.splitlines), 1):
+    # only "\n" ends a line (`str.splitlines` also splits at U+2028, form feed, ...)
+    for lineno, line in enumerate(read(path, CorpusFormatError, str).split("\n"), 1):
         if not line.strip() or line.startswith("#"):
             continue
         if "\t" not in line:
@@ -89,7 +90,7 @@ def load_gold(path: str | Path, *ontologies: Ontology) -> dict[str, GoldUtteranc
     known = {SEMANTIC_RELATION_LABEL, OOV_LABEL}.union(*(o.concept_names for o in ontologies))
     grouped: dict[str, list[GoldToken]] = {}
     block = None  # the id of the utterance the previous token line belongs to
-    for lineno, line in enumerate(read(path, CorpusFormatError, str.splitlines), 1):
+    for lineno, line in enumerate(read(path, CorpusFormatError, str).split("\n"), 1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")

@@ -19,20 +19,20 @@ reported both rounded to 4 decimals and truncated to 2 decimals (the display
 form); zero-denominator cases are reported as absent, never as numbers.
 
 Relation-marker tokens are scored like any other token against the reserved
-gold label `Semantic_Relation`; pass `include_markers=False` to exclude them
-from all counts. Unresolved-ambiguous tokens count as not recognized by
-default (`unresolved_policy="not-recognized"`); set `"incorrect"` to treat a
-surviving candidate set as a wrong commitment instead.
+gold label `Semantic_Relation`. Unresolved-ambiguous tokens count as not
+recognized by default (`unresolved_policy="not-recognized"`); set
+`"incorrect"` to treat a surviving candidate set as a wrong commitment
+instead.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .annotate import SEMANTIC_RELATION_LABEL, Status, committed_label
+from .annotate import Status, committed_label
 from .corpus import GoldUtterance
 from .interpret import UNCHANGED, InterpretedUtterance
 
@@ -125,15 +125,15 @@ def metrics(counts: EvaluationCounts) -> Metrics:
     return Metrics(precision_exact=precision, f_measure_exact=f_measure, f1_exact=f1)
 
 
-def _score_tokens(
+def report(
     predicted: Iterable[InterpretedUtterance],
     gold: Mapping[str, GoldUtterance],
-    unresolved_policy: str,
-    include_markers: bool,
-) -> Iterator[tuple[str, str, bool]]:
-    """Yield (gold_label, bucket, single_label) per scored token, where bucket
-    is "a", "b" or "c" and single_label marks a token committed from a
-    one-label annotation without interpretation."""
+    unresolved_policy: str = "not-recognized",
+) -> EvaluationReport:
+    """Full evaluation: overall counts, metrics, per-gold-label breakdown, and
+    the precision of tokens committed from a single-label annotation. Raises
+    AlignmentError unless the predictions hold each gold utterance once, with
+    the same token sequence."""
     if unresolved_policy not in UNRESOLVED_POLICIES:
         raise ValueError(
             f"unresolved_policy must be one of {UNRESOLVED_POLICIES}, got {unresolved_policy!r}"
@@ -150,6 +150,8 @@ def _score_tokens(
             f"utterance ids differ: missing from predictions {missing}, not in gold {extra}"
         )
 
+    overall, single = Counter(), Counter()  # bucket -> tokens
+    per_concept: dict[str, Counter] = defaultdict(Counter)
     for uid, gold_utterance in gold.items():
         prediction = predicted_by_id[uid]
         if len(prediction.tokens) != len(gold_utterance.tokens):
@@ -157,7 +159,7 @@ def _score_tokens(
                 f"utterance {uid!r}: {len(prediction.tokens)} predicted tokens"
                 f" vs {len(gold_utterance.tokens)} gold tokens"
             )
-        resolutions = {r.token_index: r for r in prediction.resolutions}
+        outcomes = {r.token_index: r.outcome for r in prediction.resolutions}
         for index, (token, gold_token) in enumerate(
             zip(prediction.tokens, gold_utterance.tokens)
         ):
@@ -166,9 +168,6 @@ def _score_tokens(
                     f"utterance {uid!r} token {index}: surface {token.surface!r}"
                     f" vs gold {gold_token.surface!r}"
                 )
-            if not include_markers and gold_token.label == SEMANTIC_RELATION_LABEL:
-                continue
-
             committed = committed_label(token)
             if token.status is Status.AMBIGUOUS:
                 bucket = "b" if unresolved_policy == "incorrect" else "c"
@@ -179,35 +178,10 @@ def _score_tokens(
             else:
                 bucket = "b"
 
-            resolution = resolutions.get(index)
-            single_label = (
-                token.status is Status.LABELED
-                and resolution is not None
-                and resolution.outcome == UNCHANGED
-            )
-            yield gold_token.label, bucket, single_label
-
-
-def report(
-    predicted: Iterable[InterpretedUtterance],
-    gold: Mapping[str, GoldUtterance],
-    unresolved_policy: str = "not-recognized",
-    include_markers: bool = True,
-) -> EvaluationReport:
-    """Full evaluation: overall counts, metrics, per-gold-label breakdown, and
-    the precision of tokens committed from a single-label annotation. Raises
-    AlignmentError unless the predictions hold each gold utterance once, with
-    the same token sequence."""
-    overall = {"a": 0, "b": 0, "c": 0}
-    per_concept: dict[str, dict[str, int]] = {}
-    single = {"a": 0, "b": 0, "c": 0}
-    for gold_label, bucket, single_label in _score_tokens(
-        predicted, gold, unresolved_policy, include_markers
-    ):
-        overall[bucket] += 1
-        per_concept.setdefault(gold_label, {"a": 0, "b": 0, "c": 0})[bucket] += 1
-        if single_label:
-            single[bucket] += 1
+            overall[bucket] += 1
+            per_concept[gold_token.label][bucket] += 1
+            if token.status is Status.LABELED and outcomes.get(index) == UNCHANGED:
+                single[bucket] += 1
 
     counts = EvaluationCounts.tally(overall["a"], overall["b"], overall["c"])
     return EvaluationReport(

@@ -39,7 +39,7 @@ from .ontology import (
     TaxonomyEdge,
     validate,
 )
-from .serialize import escape, quoteattr
+from .serialize import _checked_xml, escape, quoteattr
 
 _RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 _RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -214,7 +214,7 @@ def export_owl(ontology: Ontology) -> str:
         lines.extend(_element("owl:NamedIndividual", instance.surface, children))
 
     lines.append("</rdf:RDF>")
-    return "\n".join(lines) + "\n"
+    return _checked_xml("\n".join(lines) + "\n")
 
 
 def _element(tag: str, about: str, children: list[str]) -> list[str]:

@@ -27,6 +27,7 @@ fields; the interpreted variant appends resolution provenance columns
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 from .annotate import AnnotatedUtterance, SEMANTIC_RELATION_LABEL, Status, TokenAnnotation, committed_label
@@ -39,6 +40,18 @@ INTERPRETED_TSV_HEADER = (
 )
 
 _ABSENT = "-"
+
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+class XMLCharacterError(ValueError):
+    """A text holds a character that XML 1.0 forbids, escaped or not."""
+
+
+def _checked_xml(document: str) -> str:
+    if bad := _NOT_XML.search(document):
+        raise XMLCharacterError(f"cannot write XML: U+{ord(bad[0]):04X} is not allowed in XML 1.0")
+    return document
 
 
 # `xml.sax.saxutils` has these two, but importing it imports `urllib.request`
@@ -79,7 +92,7 @@ def annotated_to_xml(utterances: Iterable[AnnotatedUtterance | InterpretedUttera
             lines.extend(_token_xml(token))
         lines.append("  </utterance>")
     lines.append("</utterances>")
-    return "\n".join(lines) + "\n"
+    return _checked_xml("\n".join(lines) + "\n")
 
 
 # both stages list tokens the same way; only the labels they carry differ

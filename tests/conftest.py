@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from ontosem.annotate import AnnotatedUtterance, Status, annotate
 from ontosem.interpret import RESOLVED, InterpretedUtterance
@@ -26,6 +30,19 @@ SYNTH = Ontology(
         Relation("rel_x", frozenset({"mx"}), "C3", "C3"),
     ),
 )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code: str, cwd=None) -> str:
+    """The standard output of `code` run by a fresh interpreter that imports
+    ontosem from this checkout's `src/`; the run must succeed."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          cwd=cwd, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def surface_vocabulary(ontology):

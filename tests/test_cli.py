@@ -431,6 +431,29 @@ def test_export_owl_is_well_formed(out):
     assert len(root.findall(f"{OWL_NS}Class")) == 21
 
 
+def test_xml_output_with_a_control_character_exits_1_writing_nothing(out, tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("u1\tOtrAn \x01 twns\n", encoding="utf-8")
+    for command in ("annotate", "interpret"):
+        assert run([command, "--in", str(corpus), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "ontosem: cannot write XML: U+0001 is not allowed in XML 1.0\n"
+        assert not out.exists()
+        assert run([command, "--in", str(corpus), "--out", str(out), "--format", "tsv"]) == 0
+        assert "\x01" in out.read_text(encoding="utf-8")
+        out.unlink()
+        capsys.readouterr()
+
+
+def test_export_owl_with_a_control_character_exits_1_writing_nothing(out, tmp_path, capsys):
+    document = json.loads(samples.domain_ontology_path().read_text(encoding="utf-8"))
+    document["concepts"][0]["gloss"] = "\u0001"
+    domain = tmp_path / "domain.json"
+    domain.write_text(json.dumps(document), encoding="utf-8")
+    assert run(["export-owl", "--domain", str(domain), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "ontosem: cannot write XML: U+0001 is not allowed in XML 1.0\n"
+    assert not out.exists()
+
+
 def test_stats_on_shipped_corpus(out, capsys):
     assert run(["stats", "--in", str(samples.corpus_path()), "--out", str(out)]) == 0
     document = json.loads(out.read_text(encoding="utf-8"))

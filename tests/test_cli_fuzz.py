@@ -4,10 +4,11 @@ Each of --domain, --task, --tables, --in and --gold is the bundled file, random
 bytes, a random JSON value, or the bundled file with one field replaced by a
 random JSON value (a JSON document) or random text (a TSV file). Whatever the
 files hold, `cli.main` must return a documented exit code and let no
-exception escape.
+exception escape, and any XML it writes must be well-formed.
 """
 
 import json
+import xml.etree.ElementTree as ET
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -90,4 +91,7 @@ def test_cli_survives_junk_inputs(tmp_path_factory, command_line):
         path = directory / option.lstrip("-")
         path.write_bytes(data)
         argv += [option, str(path)]
-    assert main(argv) in {0, 1, 2, 3}
+    code = main(argv)
+    assert code in {0, 1, 2, 3}
+    if code == 0 and command in ("interpret", "export-owl"):
+        ET.fromstring((directory / "out").read_bytes())

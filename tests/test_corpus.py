@@ -4,12 +4,13 @@ from ontosem import samples
 from ontosem.corpus import (
     CorpusFormatError,
     DuplicateUtteranceIdError,
+    GoldToken,
     UnknownGoldLabelError,
     load_gold,
     load_utterances,
     stats,
 )
-from ontosem.normalize import RawUtterance, normalize_all
+from ontosem.normalize import RawUtterance, normalize_all, tokenize
 from ontosem.ontology import merge
 
 
@@ -40,6 +41,52 @@ def test_duplicate_id_rejected(tmp_path):
     path.write_text("u1\ta\nu1\tb\n", encoding="utf-8")
     with pytest.raises(DuplicateUtteranceIdError):
         load_utterances(path)
+
+
+# characters `str.splitlines` breaks a line at, beside \n and \r
+LINE_BREAKS_OF_SPLITLINES = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("char", LINE_BREAKS_OF_SPLITLINES, ids=lambda c: f"U+{ord(c):04X}")
+def test_only_newline_ends_a_corpus_line(tmp_path, char):
+    path = tmp_path / "c.tsv"
+    path.write_text(f"u1\tOtrAn{char}twns\nu2\tltwns\nu3\tOtrAn{char}u9\ttwns", encoding="utf-8")
+    utterances = load_utterances(path)
+    assert [(u.id, u.text) for u in utterances] == [
+        ("u1", f"OtrAn{char}twns"), ("u2", "ltwns"), ("u3", f"OtrAn{char}u9\ttwns"),
+    ]
+    assert [t.surface for t in tokenize(utterances[0])] == ["OtrAn", "twns"]
+    assert [t.surface for t in tokenize(utterances[2])] == ["OtrAn", "u9", "twns"]
+
+
+@pytest.mark.parametrize("char", LINE_BREAKS_OF_SPLITLINES, ids=lambda c: f"U+{ord(c):04X}")
+def test_corpus_error_lines_count_newlines(tmp_path, char):
+    path = tmp_path / "c.tsv"
+    path.write_text(f"u1\tOtrAn{char}u2\ttwns\nbroken line\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as err:
+        load_utterances(path)
+    assert str(err.value) == f"{path}:2: expected 'id<TAB>text'"
+
+
+@pytest.mark.parametrize("char", LINE_BREAKS_OF_SPLITLINES, ids=lambda c: f"U+{ord(c):04X}")
+def test_only_newline_ends_a_gold_line(tmp_path, char):
+    path = tmp_path / "g.tsv"
+    path.write_text(f"u1\t0\tOtrAn{char}\tTrain\nu1\t1\ttwns\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as err:
+        load_gold(path)
+    assert str(err.value) == f"{path}:2: expected 4 tab-separated fields, got 3"
+    path.write_text(f"u1\t0\tOtrAn{char}\tTrain\n", encoding="utf-8")
+    assert load_gold(path)["u1"].tokens == (GoldToken(0, "OtrAn", "Train"),)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_crlf_and_cr_files_read_as_newline_files(tmp_path, newline):
+    corpus = samples.corpus_path().read_text(encoding="utf-8")
+    gold = samples.gold_path().read_text(encoding="utf-8")
+    for name, text in (("c.tsv", corpus), ("g.tsv", gold)):
+        (tmp_path / name).write_bytes(text.replace("\n", newline).encode("utf-8"))
+    assert load_utterances(tmp_path / "c.tsv") == samples.load_sample_corpus()
+    assert load_gold(tmp_path / "g.tsv") == load_gold(samples.gold_path())
 
 
 def test_shipped_corpus_size():

@@ -147,13 +147,6 @@ def test_marker_scored_against_reserved_label():
     assert report([make_predicted("u", rows)], gold).counts == EvaluationCounts(0, 1, 0, 1)
 
 
-def test_markers_can_be_excluded_from_denominator():
-    rows = [("m", Status.RELATION_MARKER, set()), ("x", Status.LABELED, {"A"})]
-    gold = make_gold("u", [("m", SEMANTIC_RELATION_LABEL), ("x", "A")])
-    counts = report([make_predicted("u", rows)], gold, include_markers=False).counts
-    assert counts == EvaluationCounts(1, 0, 0, 1)
-
-
 def test_token_count_mismatch_is_alignment_error():
     rows = [("x", Status.LABELED, {"A"})]
     gold = make_gold("u", [("x", "A"), ("y", "B")])
@@ -234,12 +227,12 @@ def aligned_pair(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(aligned_pair(), st.sampled_from(["not-recognized", "incorrect"]), st.booleans())
-def test_count_conservation_on_random_comparisons(pair, policy, include_markers):
+@given(aligned_pair(), st.sampled_from(["not-recognized", "incorrect"]))
+def test_count_conservation_on_random_comparisons(pair, policy):
     predicted, gold = pair
-    counts = report(predicted, gold, unresolved_policy=policy, include_markers=include_markers).counts
+    counts = report(predicted, gold, unresolved_policy=policy).counts
     assert counts.correct + counts.incorrect + counts.not_recognized == counts.total
-    assert counts.total <= sum(len(g.tokens) for g in gold.values())
+    assert counts.total == sum(len(g.tokens) for g in gold.values())
 
 
 # -- report ------------------------------------------------------------------------------

@@ -1,17 +1,14 @@
-import os
-import subprocess
-import sys
 import xml.etree.ElementTree as ET
 import xml.sax.saxutils
-from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import annotate_surfaces
+from conftest import annotate_surfaces, run_python
 from ontosem import samples
 from ontosem.interpret import interpret
 from ontosem.serialize import (
+    XMLCharacterError,
     annotated_to_tsv,
     annotated_to_xml,
     escape,
@@ -19,8 +16,6 @@ from ontosem.serialize import (
     interpreted_to_xml,
     quoteattr,
 )
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +102,35 @@ def test_interpreted_tsv_provenance_columns(ontologies, time_question_annotated)
     assert unchanged[7] == "-"
 
 
+# the characters XML 1.0 forbids, even as a character reference
+NOT_XML = [chr(c) for c in range(0x20) if chr(c) not in "\t\n\r"] + ["\ud800", "\udfff", "\ufffe", "\uffff"]
+
+
+@pytest.mark.parametrize("char", NOT_XML, ids=lambda c: f"U+{ord(c):04X}")
+def test_xml_writers_reject_characters_xml_forbids(ontologies, char):
+    annotated = annotate_surfaces(["OtrAn", f"a{char}b"], *ontologies)
+    message = f"cannot write XML: U+{ord(char):04X} is not allowed in XML 1.0"
+    with pytest.raises(XMLCharacterError) as err:
+        annotated_to_xml([annotated])
+    assert str(err.value) == message
+    with pytest.raises(XMLCharacterError):
+        interpreted_to_xml([interpret(annotated, *ontologies)])
+    assert f"a{char}b" in annotated_to_tsv([annotated])  # TSV holds any character
+
+
+@settings(max_examples=200)
+@given(st.text(min_size=1, max_size=6), st.text(min_size=1, max_size=6))
+def test_xml_writers_write_well_formed_xml_or_raise(ontologies, uid, surface):
+    annotated = annotate_surfaces([surface, "OtrAn"], *ontologies, uid=uid)
+    try:
+        text = interpreted_to_xml([interpret(annotated, *ontologies)])
+    except XMLCharacterError:
+        assert any(char in uid + surface for char in NOT_XML)
+        return
+    utterance = ET.fromstring(text).find("utterance")
+    assert (utterance.get("id"), utterance.find("token").get("value")) == (uid, surface)
+
+
 # the characters XML escaping treats specially, beside plain letters and Arabic
 XML_TEXT = st.text(st.sampled_from("&<>\"'\n\r\t") | st.characters(whitelist_categories=("Lu", "Ll"))
                    | st.characters(min_codepoint=0x0600, max_codepoint=0x06FF))
@@ -121,10 +145,6 @@ def test_escape_and_quoteattr_equal_the_standard_library(text):
 def test_import_leaves_out_the_network_stack():
     """`xml.sax.saxutils` imports `urllib.request`; the package escapes XML
     itself so that no process importing it loads the network stack."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     code = ("import sys, ontosem.cli; "
             "print(sorted(m for m in ('urllib.request', 'http.client', 'email', 'ssl') if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert run_python(code) == "[]\n"
