@@ -8,15 +8,11 @@ disambiguation of multi-label tokens is the interpreter's job.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .normalize import NormalizedUtterance
 from .ontology import EMPTY, Ontology, lookup
-
-logger = logging.getLogger(__name__)
 
 # label under which relation-marker tokens are reported and scored
 SEMANTIC_RELATION_LABEL = "Semantic_Relation"
@@ -29,16 +25,14 @@ class Status(str, Enum):
     NOT_RECOGNIZED = "not_recognized"
 
 
-@dataclass(frozen=True, slots=True)
-class TokenAnnotation:
+class TokenAnnotation(NamedTuple):
     surface: str
     labels: frozenset[str]
     relation_ids: frozenset[str]
     status: Status
 
 
-@dataclass(frozen=True, slots=True)
-class AnnotatedUtterance:
+class AnnotatedUtterance(NamedTuple):
     id: str
     tokens: tuple[TokenAnnotation, ...]
 
@@ -61,7 +55,9 @@ def annotate_token(surface: str, *ontologies: Ontology) -> TokenAnnotation:
         if labels:
             # impossible on validated ontologies; relation wins so that
             # interpretation can still find its markers
-            logger.warning(
+            import logging
+
+            logging.getLogger(__name__).warning(
                 "surface %r is both instance and relation trigger; treating as marker", surface
             )
         return TokenAnnotation(surface, EMPTY, relation_ids, Status.RELATION_MARKER)

@@ -18,17 +18,7 @@ from pathlib import Path
 from . import samples
 from .annotate import annotate_all
 from .corpus import CorpusFormatError, load_gold, load_utterances, stats
-from .evaluate import (
-    AlignmentError,
-    EvaluationCounts,
-    UNRESOLVED_POLICIES,
-    counts_to_document,
-    render_counts_table,
-    render_report,
-    report,
-    report_to_document,
-)
-from .interpret import TIE_BREAKS, interpret_all
+from .interpret import TIE_BREAKS, UNRESOLVED_POLICIES, interpret_all
 from .normalize import TablesError, load_tables, normalize_all
 from .ontology import merge, trigger_instance_overlap, validate
 from .ontology_io import (
@@ -37,13 +27,6 @@ from .ontology_io import (
     export_owl,
     load_ontology,
     parse_ontology_file,
-)
-from .serialize import (
-    XMLCharacterError,
-    annotated_to_tsv,
-    annotated_to_xml,
-    interpreted_to_tsv,
-    interpreted_to_xml,
 )
 
 EXIT_OK = 0
@@ -151,6 +134,8 @@ def _run_pipeline(args: argparse.Namespace):
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
+    from .serialize import annotated_to_tsv, annotated_to_xml
+
     _, annotated = _run_pipeline(args)
     text = annotated_to_xml(annotated) if args.format == "xml" else annotated_to_tsv(annotated)
     _write_out(args.out, text)
@@ -159,6 +144,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_interpret(args: argparse.Namespace) -> int:
+    from .serialize import interpreted_to_tsv, interpreted_to_xml
+
     ontologies, annotated = _run_pipeline(args)
     interpreted = interpret_all(annotated, *ontologies, tie_break=args.tie_break)
     text = (
@@ -170,6 +157,9 @@ def cmd_interpret(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluate import (AlignmentError, EvaluationCounts, counts_to_document, render_counts_table,
+                           render_report, report, report_to_document)
+
     if args.from_counts:
         try:
             a, b, c, d = (int(part) for part in args.from_counts.split(","))
@@ -187,7 +177,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ontologies, annotated = _run_pipeline(args)
     interpreted = interpret_all(annotated, *ontologies, tie_break=args.tie_break)
     gold = load_gold(args.gold, *ontologies)
-    result = report(interpreted, gold, unresolved_policy=args.unresolved)
+    try:
+        result = report(interpreted, gold, unresolved_policy=args.unresolved)
+    except AlignmentError as err:
+        _info(f"ontosem: alignment error: {err}")
+        return EXIT_ALIGNMENT
     _write_out(args.out, _json_text(report_to_document(result)))
     _info(render_report(result))
     return EXIT_OK
@@ -258,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         _info(f"ontosem: {err.filename}: {err.strerror}" if err.filename else f"ontosem: {err}")
         return EXIT_INPUT
-    except (OntologyFormatError, CorpusFormatError, XMLCharacterError) as err:
+    except (OntologyFormatError, CorpusFormatError) as err:
         _info(f"ontosem: {err}")
         return EXIT_INPUT
     except TablesError as err:
@@ -267,9 +261,14 @@ def main(argv: list[str] | None = None) -> int:
     except OntologyValidationError as err:
         _info(f"ontosem: {err}")
         return EXIT_VALIDATION
-    except AlignmentError as err:
-        _info(f"ontosem: alignment error: {err}")
-        return EXIT_ALIGNMENT
+    except ValueError as err:
+        # only the commands that write XML load the module that raises this
+        from .serialize import XMLCharacterError
+
+        if not isinstance(err, XMLCharacterError):
+            raise
+        _info(f"ontosem: {err}")
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

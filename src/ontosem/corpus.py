@@ -14,9 +14,8 @@ comment lines in both formats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._input import read
 from .annotate import SEMANTIC_RELATION_LABEL
@@ -38,21 +37,18 @@ class UnknownGoldLabelError(CorpusFormatError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class GoldToken:
+class GoldToken(NamedTuple):
     index: int
     surface: str
     label: str
 
 
-@dataclass(frozen=True, slots=True)
-class GoldUtterance:
+class GoldUtterance(NamedTuple):
     id: str
     tokens: tuple[GoldToken, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     utterance_count: int
     word_count: int
     avg_words_per_utterance: float | None

@@ -28,44 +28,44 @@ instead.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .annotate import Status, committed_label
 from .corpus import GoldUtterance
-from .interpret import UNCHANGED, InterpretedUtterance
-
-UNRESOLVED_POLICIES = ("not-recognized", "incorrect")
+from .interpret import UNCHANGED, UNRESOLVED_POLICIES, InterpretedUtterance
 
 
 class AlignmentError(ValueError):
     """Predicted and gold corpora disagree on ids, token counts or surfaces."""
 
 
-@dataclass(frozen=True)
-class EvaluationCounts:
+class _Counts(NamedTuple):
     correct: int
     incorrect: int
     not_recognized: int
     total: int
 
-    def __post_init__(self):
-        parts = (self.correct, self.incorrect, self.not_recognized)
-        if any(n < 0 for n in parts) or self.total < 0:
+
+class EvaluationCounts(_Counts):
+    """Checked counts: none negative, and `total` is the sum of the others."""
+
+    __slots__ = ()
+
+    def __new__(cls, correct: int, incorrect: int, not_recognized: int, total: int):
+        parts = (correct, incorrect, not_recognized)
+        if any(n < 0 for n in parts) or total < 0:
             raise ValueError("counts must be non-negative")
-        if sum(parts) != self.total:
-            raise ValueError(
-                f"total {self.total} != correct+incorrect+not_recognized {sum(parts)}"
-            )
+        if sum(parts) != total:
+            raise ValueError(f"total {total} != correct+incorrect+not_recognized {sum(parts)}")
+        return super().__new__(cls, correct, incorrect, not_recognized, total)
 
     @classmethod
     def tally(cls, correct: int = 0, incorrect: int = 0, not_recognized: int = 0) -> "EvaluationCounts":
         return cls(correct, incorrect, not_recognized, correct + incorrect + not_recognized)
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     precision_exact: Fraction | None
     f_measure_exact: Fraction | None
     f1_exact: Fraction | None
@@ -91,8 +91,7 @@ class Metrics:
         return _truncate2(self.f_measure_exact)
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     counts: EvaluationCounts
     metrics: Metrics
     per_concept: dict[str, EvaluationCounts]
@@ -202,7 +201,7 @@ def counts_to_document(counts: EvaluationCounts) -> dict:
     m = metrics(counts)
     return {
         "format_version": 1,
-        "counts": asdict(counts),
+        "counts": counts._asdict(),
         "metrics": {
             "precision": m.precision,
             "f_measure": m.f_measure,
@@ -218,7 +217,7 @@ def report_to_document(rep: EvaluationReport) -> dict:
     return {
         **counts_to_document(rep.counts),
         "single_label_precision": rep.single_label_precision,
-        "per_concept": {label: asdict(c) for label, c in sorted(rep.per_concept.items())},
+        "per_concept": {label: c._asdict() for label, c in sorted(rep.per_concept.items())},
     }
 
 

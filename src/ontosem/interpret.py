@@ -15,8 +15,7 @@ consulted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .annotate import AnnotatedUtterance, Status, TokenAnnotation
 # `merge` is no longer called here. The name stays because code that wraps
@@ -29,10 +28,11 @@ UNRESOLVED = "unresolved"
 UNCHANGED = "unchanged"
 
 TIE_BREAKS = ("left", "right")
+# how `evaluate.report` may score a token left UNRESOLVED
+UNRESOLVED_POLICIES = ("not-recognized", "incorrect")
 
 
-@dataclass(frozen=True, slots=True)
-class Resolution:
+class Resolution(NamedTuple):
     """Outcome of interpreting one token position."""
 
     token_index: int
@@ -43,8 +43,7 @@ class Resolution:
     relation_token_index: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class InterpretedUtterance:
+class InterpretedUtterance(NamedTuple):
     id: str
     tokens: tuple[TokenAnnotation, ...]
     resolutions: tuple[Resolution, ...]

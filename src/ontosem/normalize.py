@@ -34,11 +34,10 @@ given the ontologies `normalize` will be passed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ._input import read, reader
 from .buckwalter import transliterate
@@ -58,14 +57,12 @@ class TablesError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True, slots=True)
-class RawUtterance:
+class RawUtterance(NamedTuple):
     id: str
     text: str
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     """A normalized token with its character range in the raw text.
 
     `trace` records the rewrite steps that produced the surface, e.g.
@@ -78,8 +75,7 @@ class Token:
     trace: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class NormalizedUtterance:
+class NormalizedUtterance(NamedTuple):
     id: str
     tokens: tuple[Token, ...]
 
@@ -87,19 +83,16 @@ class NormalizedUtterance:
         return [token.surface for token in self.tokens]
 
 
-@dataclass(frozen=True, slots=True)
-class CompoundRule:
+class CompoundRule(NamedTuple):
     parts: tuple[str, ...]
     replacement: str
 
 
-@dataclass(frozen=True, slots=True)
-class CliticRule:
+class CliticRule(NamedTuple):
     prefix: str
     expansion: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
 class NormalizationTables:
     """Normalization rules, with precedence fixed at construction: compounds
     longest first (ties keep declaration order), clitics longest prefix first
@@ -111,30 +104,40 @@ class NormalizationTables:
     takes no part in `==` or `repr`. A compound rule with no parts matches
     everywhere without consuming a token and is rejected with ValueError.
     `variants` is copied into a read-only mapping, left out of the hash, so
-    the tables cannot change after `load_tables` has checked them.
+    the tables cannot change after `load_tables` has checked them; no
+    attribute can be assigned.
     """
 
-    compounds: tuple[CompoundRule, ...] = ()
-    clitics: tuple[CliticRule, ...] = ()
-    variants: Mapping[str, str] | None = field(default=None, hash=False)
-    _compounds_by_first: dict[str, list[CompoundRule]] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("compounds", "clitics", "variants", "_compounds_by_first")
 
-    def __post_init__(self):
-        compounds = tuple(sorted(self.compounds, key=lambda r: -len(r.parts)))
-        empty = [rule for rule in compounds if not rule.parts]
-        if empty:
+    def __init__(self, compounds: Iterable[CompoundRule] = (), clitics: Iterable[CliticRule] = (),
+                 variants: Mapping[str, str] | None = None):
+        compounds = tuple(sorted(compounds, key=lambda r: -len(r.parts)))
+        if empty := [rule for rule in compounds if not rule.parts]:
             raise ValueError(f"compound rules with no parts: {empty!r}")
         by_first: dict[str, list[CompoundRule]] = {}
         for rule in compounds:
             by_first.setdefault(rule.parts[0], []).append(rule)
-        object.__setattr__(self, "compounds", compounds)
-        object.__setattr__(self, "_compounds_by_first", by_first)
-        object.__setattr__(
-            self, "clitics", tuple(sorted(self.clitics, key=lambda r: (-len(r.prefix), r.prefix)))
-        )
-        object.__setattr__(self, "variants", MappingProxyType(dict(self.variants or {})))
+        clitics = tuple(sorted(clitics, key=lambda r: (-len(r.prefix), r.prefix)))
+        variants = MappingProxyType(dict(variants or {}))
+        for name, value in zip(self.__slots__, (compounds, clitics, variants, by_first)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: the tables are read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.compounds, self.clitics, self.variants) == (other.compounds, other.clitics, other.variants)
+
+    def __hash__(self) -> int:
+        return hash((self.compounds, self.clitics))
+
+    def __repr__(self) -> str:
+        return f"NormalizationTables(compounds={self.compounds!r}, clitics={self.clitics!r}, variants={self.variants!r})"
 
 
 def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:

@@ -14,9 +14,8 @@ Surface forms are Buckwalter-transliterated ASCII throughout (see
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 DOMAIN = "domain"
 TASK = "task"
@@ -33,35 +32,30 @@ class UnknownRelationError(KeyError):
     """Raised when a relation id does not resolve; signals a corrupted reference."""
 
 
-@dataclass(frozen=True, slots=True)
-class Concept:
+class Concept(NamedTuple):
     name: str
     kind: str
     gloss: str | None = None
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class TaxonomyEdge:
+class TaxonomyEdge(NamedTuple):
     child: str
     parent: str
 
 
-@dataclass(frozen=True, slots=True)
-class Instance:
+class Instance(NamedTuple):
     surface: str
     concepts: frozenset[str]
 
 
-@dataclass(frozen=True, slots=True)
-class Relation:
+class Relation(NamedTuple):
     id: str
     triggers: frozenset[str]
     source: str
     target: str
 
 
-@dataclass(frozen=True, slots=True)
-class Finding:
+class Finding(NamedTuple):
     """One violated invariant reported by validate()."""
 
     code: str
@@ -71,33 +65,30 @@ class Finding:
         return f"{self.code}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class Ontology:
+class _Collections(NamedTuple):
+    concepts: tuple[Concept, ...]
+    taxonomy: tuple[TaxonomyEdge, ...]
+    instances: tuple[Instance, ...]
+    relations: tuple[Relation, ...]
+
+
+class Ontology(_Collections):
     """Immutable ontology; collections are stored in canonical sorted order.
 
     Construction normalizes ordering so that structural equality and
     serialization are independent of the order records were supplied in.
     Query helpers assume a validated ontology (see validate()); on malformed
     data they still terminate but results follow first-declaration-wins rules.
+    The indexes are built on first use and kept in the instance `__dict__`.
     """
 
-    concepts: tuple[Concept, ...] = ()
-    taxonomy: tuple[TaxonomyEdge, ...] = ()
-    instances: tuple[Instance, ...] = ()
-    relations: tuple[Relation, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "concepts",
-            tuple(sorted(self.concepts, key=lambda c: (c.name, c.kind, c.gloss or ""))),
-        )
-        object.__setattr__(self, "taxonomy", tuple(sorted(self.taxonomy)))
-        object.__setattr__(
-            self, "instances", tuple(sorted(self.instances, key=lambda i: i.surface))
-        )
-        object.__setattr__(
-            self, "relations", tuple(sorted(self.relations, key=lambda r: r.id))
+    def __new__(cls, concepts=(), taxonomy=(), instances=(), relations=()):
+        return super().__new__(
+            cls,
+            tuple(sorted(concepts, key=lambda c: (c.name, c.kind, c.gloss or ""))),
+            tuple(sorted(taxonomy)),
+            tuple(sorted(instances, key=lambda i: i.surface)),
+            tuple(sorted(relations, key=lambda r: r.id)),
         )
 
     # -- indexes -----------------------------------------------------------

@@ -39,7 +39,6 @@ from .ontology import (
     TaxonomyEdge,
     validate,
 )
-from .serialize import _checked_xml, escape, quoteattr
 
 _RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 _RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -181,6 +180,14 @@ def export_owl(ontology: Ontology) -> str:
     constructs the model uses are emitted; the document is well-formed XML
     with the rdf/rdfs/owl namespaces declared on the single rdf:RDF root.
     """
+    from .serialize import _checked_xml, escape, quoteattr
+
+    def element(tag: str, about: str, children: list[str]) -> list[str]:
+        opening = f"  <{tag} rdf:about={quoteattr(about)}"
+        if not children:
+            return [opening + "/>"]
+        return [opening + ">", *children, f"  </{tag}>"]
+
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         "<rdf:RDF",
@@ -198,27 +205,21 @@ def export_owl(ontology: Ontology) -> str:
             children.append(f"    <rdfs:subClassOf rdf:resource={quoteattr(parent)}/>")
         if concept.gloss is not None:
             children.append(f"    <rdfs:label>{escape(concept.gloss)}</rdfs:label>")
-        lines.extend(_element("owl:Class", concept.name, children))
+        lines.extend(element("owl:Class", concept.name, children))
 
     for relation in ontology.relations:
         children = [
             f"    <rdfs:domain rdf:resource={quoteattr(relation.source)}/>",
             f"    <rdfs:range rdf:resource={quoteattr(relation.target)}/>",
         ]
-        lines.extend(_element("owl:ObjectProperty", relation.id, children))
+        lines.extend(element("owl:ObjectProperty", relation.id, children))
 
     for instance in ontology.instances:
         children = [
             f"    <rdf:type rdf:resource={quoteattr(name)}/>" for name in sorted(instance.concepts)
         ]
-        lines.extend(_element("owl:NamedIndividual", instance.surface, children))
+        lines.extend(element("owl:NamedIndividual", instance.surface, children))
 
     lines.append("</rdf:RDF>")
     return _checked_xml("\n".join(lines) + "\n")
 
-
-def _element(tag: str, about: str, children: list[str]) -> list[str]:
-    opening = f"  <{tag} rdf:about={quoteattr(about)}"
-    if not children:
-        return [opening + "/>"]
-    return [opening + ">", *children, f"  </{tag}>"]

@@ -9,7 +9,6 @@ of the box.
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from .corpus import GoldUtterance, load_gold, load_utterances
@@ -19,7 +18,7 @@ from .ontology_io import load_ontology
 
 
 def data_path(name: str) -> Path:
-    return Path(str(resources.files(__package__).joinpath("data", name)))
+    return Path(__file__).parent / "data" / name
 
 
 def domain_ontology_path() -> Path:

@@ -48,9 +48,20 @@ class XMLCharacterError(ValueError):
     """A text holds a character that XML 1.0 forbids, escaped or not."""
 
 
+# the writers open each top-level element (an utterance, an OWL class,
+# property or individual) on a line of its own, indented by two spaces and
+# naming it in its first attribute
+_TOP_ELEMENT = re.compile(r"""  <([\w:]+) [\w:]+=("[^"]*"|'[^']*')""")
+
+
 def _checked_xml(document: str) -> str:
     if bad := _NOT_XML.search(document):
-        raise XMLCharacterError(f"cannot write XML: U+{ord(bad[0]):04X} is not allowed in XML 1.0")
+        where = ""
+        if element := _TOP_ELEMENT.match(document, document.rfind("\n  <", 0, bad.start()) + 1):
+            from html import unescape
+
+            where = f" for {element[1]} {unescape(element[2][1:-1])!r}"
+        raise XMLCharacterError(f"cannot write XML{where}: U+{ord(bad[0]):04X} is not allowed in XML 1.0")
     return document
 
 

@@ -436,7 +436,7 @@ def test_xml_output_with_a_control_character_exits_1_writing_nothing(out, tmp_pa
     corpus.write_text("u1\tOtrAn \x01 twns\n", encoding="utf-8")
     for command in ("annotate", "interpret"):
         assert run([command, "--in", str(corpus), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "ontosem: cannot write XML: U+0001 is not allowed in XML 1.0\n"
+        assert capsys.readouterr().err == "ontosem: cannot write XML for utterance 'u1': U+0001 is not allowed in XML 1.0\n"
         assert not out.exists()
         assert run([command, "--in", str(corpus), "--out", str(out), "--format", "tsv"]) == 0
         assert "\x01" in out.read_text(encoding="utf-8")
@@ -450,8 +450,20 @@ def test_export_owl_with_a_control_character_exits_1_writing_nothing(out, tmp_pa
     domain = tmp_path / "domain.json"
     domain.write_text(json.dumps(document), encoding="utf-8")
     assert run(["export-owl", "--domain", str(domain), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "ontosem: cannot write XML: U+0001 is not allowed in XML 1.0\n"
+    assert capsys.readouterr().err == "ontosem: cannot write XML for owl:Class 'Arrival_City': U+0001 is not allowed in XML 1.0\n"
     assert not out.exists()
+
+
+def test_xml_error_names_the_utterance_in_the_sample_corpus(out, tmp_path, capsys):
+    lines = samples.corpus_path().read_text(encoding="utf-8").split("\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith("a03\t"))
+    lines[at] = lines[at].replace(" ", " \x01", 1)
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("\n".join(lines), encoding="utf-8")
+    for command in ("annotate", "interpret"):
+        assert run([command, "--in", str(corpus), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "ontosem: cannot write XML for utterance 'a03': U+0001 is not allowed in XML 1.0\n"
+        assert not out.exists()
 
 
 def test_stats_on_shipped_corpus(out, capsys):

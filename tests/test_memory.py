@@ -1,24 +1,25 @@
 """Memory the pipeline's results hold per token, and a loaded lexicon per
 instance, measured with tracemalloc.
 
-The per-token and per-record types are slotted dataclasses and annotation
-shares the ontology index's label sets, so a batch's results hold about
-520 B per token (Python 3.11; about 1,170 B with a `__dict__` per record and
-fresh sets per token). The bound sits about 30% above that figure: it fails
-on a record type that loses its slots or on new per-token allocation, and is
+The per-token and per-record types are NamedTuples and annotation shares
+the ontology index's label sets, so a batch's results hold about 585 B per
+token (Python 3.11; about 1,170 B with a `__dict__` per record and fresh sets
+per token). The bound sits about 16% above that figure: it fails on a record
+type that gains a `__dict__` or on new per-token allocation, and is
 deterministic, unlike a process-wide peak RSS.
 """
 
 import gc
 import json
 import tracemalloc
-from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
 from ontosem import samples
 from ontosem.annotate import AnnotatedUtterance, Status, TokenAnnotation, annotate_all
 from ontosem.corpus import CorpusStats, GoldToken, GoldUtterance
+from ontosem.evaluate import EvaluationCounts, Metrics
 from ontosem.interpret import RESOLVED, InterpretedUtterance, Resolution, interpret_all
 from ontosem.normalize import (
     CliticRule,
@@ -29,7 +30,7 @@ from ontosem.normalize import (
     Token,
     normalize_all,
 )
-from ontosem.ontology import Concept, Finding, Instance, Relation, TaxonomyEdge, lookup
+from ontosem.ontology import Concept, Finding, Instance, Ontology, Relation, TaxonomyEdge, lookup
 from ontosem.ontology_io import load_ontology
 
 BYTES_PER_TOKEN_BOUND = 680
@@ -97,7 +98,6 @@ RECORDS = [
     NormalizedUtterance("u", (Token("OtrAn", (0, 5)),)),
     CompoundRule(("IlmADy", "sAEh"), "IlmADy_sAEh"),
     CliticRule("l", ("Ily",)),
-    NormalizationTables((CompoundRule(("a", "b"), "a_b"),), (CliticRule("l", ("Ily",)),), {"x": "y"}),
     TokenAnnotation("twns", frozenset({"Arrival_City"}), frozenset(), Status.LABELED),
     AnnotatedUtterance("u", (TokenAnnotation("zzz", frozenset(), frozenset(), Status.NOT_RECOGNIZED),)),
     Resolution(1, RESOLVED, frozenset({"A", "B"}), "A", "rel_a", 0),
@@ -105,6 +105,7 @@ RECORDS = [
     GoldToken(0, "OtrAn", "Train"),
     GoldUtterance("u", (GoldToken(0, "OtrAn", "Train"),)),
     CorpusStats(1, 3, 3.0),
+    Metrics(Fraction(1, 2), Fraction(1, 3), None),
     Concept("Train", "domain", "a train"),
     TaxonomyEdge("Arrival_City", "City"),
     Instance("OtrAn", frozenset({"Train"})),
@@ -117,9 +118,48 @@ RECORDS = [
 def test_record_is_slotted_and_keeps_eq_hash_repr(record):
     assert not hasattr(record, "__dict__")
     cls = type(record)
-    values = {f.name: getattr(record, f.name) for f in fields(record) if f.init}
+    values = {name: getattr(record, name) for name in record._fields}
     twin = cls(**values)
     assert twin == record and twin is not record
-    shown = ", ".join(f"{f.name}={getattr(record, f.name)!r}" for f in fields(record) if f.repr)
+    shown = ", ".join(f"{name}={value!r}" for name, value in values.items())
     assert repr(record) == f"{cls.__name__}({shown})"
     assert hash(twin) == hash(record)
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, values[name])
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+
+# the records whose construction does more than store its arguments, with
+# the fields they are built from, in constructor order
+CONSTRUCTED = [
+    (Ontology, {
+        "concepts": (Concept("Train", "domain"), Concept("City", "domain")),
+        "taxonomy": (TaxonomyEdge("Arrival_City", "City"),),
+        "instances": (Instance("twns", frozenset({"City"})), Instance("OtrAn", frozenset({"Train"}))),
+        "relations": (Relation("rel_a", frozenset({"Ily"}), "Train", "City"),),
+    }),
+    (NormalizationTables, {
+        "compounds": (CompoundRule(("a", "b"), "a_b"), CompoundRule(("a", "b", "c"), "a_b_c")),
+        "clitics": (CliticRule("l", ("Ily",)), CliticRule("wl", ("w", "Ily"))),
+        "variants": {"x": "y"},
+    }),
+    (EvaluationCounts, {"correct": 1, "incorrect": 2, "not_recognized": 3, "total": 6}),
+]
+
+
+@pytest.mark.parametrize("cls, values", CONSTRUCTED, ids=[cls.__name__ for cls, _ in CONSTRUCTED])
+def test_constructed_record_keeps_eq_hash_repr_and_is_read_only(cls, values):
+    record, twin = cls(**values), cls(**values)
+    if cls is not Ontology:  # its indexes are built on first use, into a __dict__
+        assert not hasattr(record, "__dict__")
+    assert twin == record and twin is not record
+    assert hash(twin) == hash(record)
+    shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in values)
+    assert repr(record) == f"{cls.__name__}({shown})"
+    for name in values:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)

@@ -15,6 +15,7 @@ from ontosem.ontology_io import (
     ontology_to_document,
     save_ontology,
 )
+from ontosem.serialize import XMLCharacterError
 
 OWL_NS = "{http://www.w3.org/2002/07/owl#}"
 RDFS_NS = "{http://www.w3.org/2000/01/rdf-schema#}"
@@ -352,3 +353,17 @@ def test_owl_escapes_awkward_surfaces():
     root = ET.fromstring(export_owl(ontology))
     individual = root.find(f"{OWL_NS}NamedIndividual")
     assert individual.get(RDF_ABOUT) == 'q"<&>\''
+
+
+@pytest.mark.parametrize("element, ontology", [
+    ("owl:Class 'A'", Ontology(concepts=(Concept("A", "domain", "gl\x1fss"),))),
+    ("owl:ObjectProperty 'r\\x02'", Ontology(
+        concepts=(Concept("A", "domain"),), relations=(Relation("r\x02", frozenset({"m"}), "A", "A"),))),
+    ("owl:NamedIndividual 'q\"<&\\x0c'", Ontology(
+        concepts=(Concept("A", "domain"), Concept("B", "domain")),
+        instances=(Instance("q\"<&\x0c", frozenset({"A"})), Instance("z", frozenset({"B"}))))),
+])
+def test_owl_error_names_the_element_with_a_character_xml_forbids(element, ontology):
+    with pytest.raises(XMLCharacterError) as err:
+        export_owl(ontology)
+    assert str(err.value).startswith(f"cannot write XML for {element}: U+00")

@@ -2,14 +2,32 @@
 
 import ast
 
-from conftest import run_python
+import pytest
 
-# what `import ontosem.cli` loads: every module but `__main__`
+from conftest import run_python
+from ontosem import samples
+
+# what `import ontosem.cli` loads: every module but `__main__`, `evaluate`,
+# which only `eval` imports, and `serialize`, which only the commands that
+# write XML or TSV import
 CLI_MODULES = [
     "ontosem", "ontosem._input", "ontosem.annotate", "ontosem.buckwalter", "ontosem.cli",
-    "ontosem.corpus", "ontosem.evaluate", "ontosem.interpret", "ontosem.normalize",
-    "ontosem.ontology", "ontosem.ontology_io", "ontosem.samples", "ontosem.serialize",
+    "ontosem.corpus", "ontosem.interpret", "ontosem.normalize",
+    "ontosem.ontology", "ontosem.ontology_io", "ontosem.samples",
 ]
+WRITER_MODULES = sorted(CLI_MODULES + ["ontosem.serialize"])
+
+# each subcommand, run on the bundled sample: its arguments and the package
+# modules loaded when it returns. This bounds modules, not wall time.
+CORPUS, GOLD = str(samples.corpus_path()), str(samples.gold_path())
+COMMANDS = {
+    "annotate": (["--in", CORPUS], WRITER_MODULES),
+    "interpret": (["--in", CORPUS, "--format", "tsv"], WRITER_MODULES),
+    "eval": (["--in", CORPUS, "--gold", GOLD], sorted(CLI_MODULES + ["ontosem.evaluate"])),
+    "validate": ([], CLI_MODULES),
+    "export-owl": ([], WRITER_MODULES),
+    "stats": (["--in", CORPUS], CLI_MODULES),
+}
 
 
 def loaded_after(statement: str) -> list[str]:
@@ -34,3 +52,27 @@ print(annotate is sys.modules["ontosem.annotate"], interpret is sys.modules["ont
 
 def test_cli_loads_each_module_once_and_nothing_else():
     assert loaded_after("import ontosem.cli") == CLI_MODULES
+
+
+def test_cli_import_loads_neither_dataclasses_nor_logging():
+    code = """
+import sys
+before = set(sys.modules)
+import ontosem.cli
+print(sorted(m for m in ("dataclasses", "logging", "inspect") if m in set(sys.modules) - before))
+"""
+    assert run_python(code) == "[]\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
+    args, modules = COMMANDS[command]
+    argv = [command, *args, "--out", str(tmp_path / "out")]
+    code = f"""
+import sys
+from ontosem import cli
+code = cli.main({argv!r})
+print(code, sorted(m for m in sys.modules if m.startswith("ontosem")))
+"""
+    assert run_python(code) == f"0 {modules}\n"
+    assert (tmp_path / "out").stat().st_size > 0

@@ -109,7 +109,7 @@ NOT_XML = [chr(c) for c in range(0x20) if chr(c) not in "\t\n\r"] + ["\ud800", "
 @pytest.mark.parametrize("char", NOT_XML, ids=lambda c: f"U+{ord(c):04X}")
 def test_xml_writers_reject_characters_xml_forbids(ontologies, char):
     annotated = annotate_surfaces(["OtrAn", f"a{char}b"], *ontologies)
-    message = f"cannot write XML: U+{ord(char):04X} is not allowed in XML 1.0"
+    message = f"cannot write XML for utterance 'u': U+{ord(char):04X} is not allowed in XML 1.0"
     with pytest.raises(XMLCharacterError) as err:
         annotated_to_xml([annotated])
     assert str(err.value) == message
@@ -124,8 +124,11 @@ def test_xml_writers_write_well_formed_xml_or_raise(ontologies, uid, surface):
     annotated = annotate_surfaces([surface, "OtrAn"], *ontologies, uid=uid)
     try:
         text = interpreted_to_xml([interpret(annotated, *ontologies)])
-    except XMLCharacterError:
+    except XMLCharacterError as err:
         assert any(char in uid + surface for char in NOT_XML)
+        # one line that names the utterance, whatever its id holds
+        assert str(err).startswith(f"cannot write XML for utterance {uid!r}: ")
+        assert len(str(err).splitlines()) == 1
         return
     utterance = ET.fromstring(text).find("utterance")
     assert (utterance.get("id"), utterance.find("token").get("value")) == (uid, surface)
