@@ -120,13 +120,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_pipeline(args: argparse.Namespace):
+def _load_pair(args: argparse.Namespace):
     """Load the ontology pair, unmerged, and check that no surface is an
-    instance in one and a trigger in the other; load the tables, checked
-    against the pair; normalize and annotate."""
+    instance in one and a trigger in the other."""
     ontologies = (load_ontology(args.domain), load_ontology(args.task))
     if findings := trigger_instance_overlap(ontologies):
         raise OntologyValidationError(findings)
+    return ontologies
+
+
+def _run_pipeline(args: argparse.Namespace):
+    """Load the checked ontology pair and the tables, checked against the
+    pair; normalize and annotate."""
+    ontologies = _load_pair(args)
     tables = load_tables(args.tables, *ontologies)
     utterances = load_utterances(args.input)
     normalized = normalize_all(utterances, tables, *ontologies)
@@ -188,14 +194,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    named = []
-    for label, path in (("domain", args.domain), ("task", args.task)):
-        named.append((label, parse_ontology_file(path)))
-    findings = []
-    for label, ontology in named:
-        findings.extend((label, f) for f in validate(ontology))
-    merged = merge(*(ontology for _, ontology in named))
-    findings.extend(("merged", f) for f in validate(merged))
+    pair = [parse_ontology_file(args.domain), parse_ontology_file(args.task)]
+    findings = [(label, f) for label, ontology in zip(("domain", "task"), pair) for f in validate(ontology)]
+    # a finding of one file shows again in the merge; list it once
+    listed = {f for _, f in findings}
+    findings += [("merged", f) for f in validate(merge(*pair)) if f not in listed]
 
     document = [
         {"ontology": label, "code": f.code, "detail": f.detail} for label, f in findings
@@ -210,7 +213,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_export_owl(args: argparse.Namespace) -> int:
-    merged = merge(load_ontology(args.domain), load_ontology(args.task))
+    merged = merge(*_load_pair(args))
     _write_out(args.out, export_owl(merged))
     _info(f"exported {len(merged.concepts)} classes, {len(merged.relations)} object properties")
     return EXIT_OK

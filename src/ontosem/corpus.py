@@ -15,7 +15,7 @@ comment lines in both formats.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ._input import read
 from .annotate import SEMANTIC_RELATION_LABEL
@@ -54,15 +54,21 @@ class CorpusStats(NamedTuple):
     avg_words_per_utterance: float | None
 
 
+def _lines(path: Path) -> Iterator[tuple[int, str]]:
+    """The numbered lines of `path` that hold a record. Only "\n" ends a line
+    (`str.splitlines` also splits at U+2028, form feed, ...); blank lines and
+    `#` lines are skipped."""
+    for lineno, line in enumerate(read(path, CorpusFormatError, str).split("\n"), 1):
+        if line.strip() and not line.startswith("#"):
+            yield lineno, line
+
+
 def load_utterances(path: str | Path) -> list[RawUtterance]:
     """Read a raw corpus file; rejects malformed lines and duplicate ids."""
     path = Path(path)
     utterances: list[RawUtterance] = []
     seen: set[str] = set()
-    # only "\n" ends a line (`str.splitlines` also splits at U+2028, form feed, ...)
-    for lineno, line in enumerate(read(path, CorpusFormatError, str).split("\n"), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in _lines(path):
         if "\t" not in line:
             raise CorpusFormatError(f"{path}:{lineno}: expected 'id<TAB>text'")
         utterance_id, text = line.split("\t", 1)
@@ -86,9 +92,7 @@ def load_gold(path: str | Path, *ontologies: Ontology) -> dict[str, GoldUtteranc
     known = {SEMANTIC_RELATION_LABEL, OOV_LABEL}.union(*(o.concept_names for o in ontologies))
     grouped: dict[str, list[GoldToken]] = {}
     block = None  # the id of the utterance the previous token line belongs to
-    for lineno, line in enumerate(read(path, CorpusFormatError, str).split("\n"), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in _lines(path):
         parts = line.split("\t")
         if len(parts) != 4:
             raise CorpusFormatError(

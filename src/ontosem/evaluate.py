@@ -61,6 +61,10 @@ class EvaluationCounts(_Counts):
         return super().__new__(cls, correct, incorrect, not_recognized, total)
 
     @classmethod
+    def _make(cls, iterable) -> "EvaluationCounts":  # `_replace` calls it: check there too
+        return cls(*iterable)
+
+    @classmethod
     def tally(cls, correct: int = 0, incorrect: int = 0, not_recognized: int = 0) -> "EvaluationCounts":
         return cls(correct, incorrect, not_recognized, correct + incorrect + not_recognized)
 
@@ -158,10 +162,8 @@ def report(
                 f"utterance {uid!r}: {len(prediction.tokens)} predicted tokens"
                 f" vs {len(gold_utterance.tokens)} gold tokens"
             )
-        outcomes = {r.token_index: r.outcome for r in prediction.resolutions}
-        for index, (token, gold_token) in enumerate(
-            zip(prediction.tokens, gold_utterance.tokens)
-        ):
+        rows = zip(prediction.tokens, prediction.resolutions, gold_utterance.tokens, strict=True)
+        for index, (token, resolution, gold_token) in enumerate(rows):
             if token.surface != gold_token.surface:
                 raise AlignmentError(
                     f"utterance {uid!r} token {index}: surface {token.surface!r}"
@@ -179,7 +181,7 @@ def report(
 
             overall[bucket] += 1
             per_concept[gold_token.label][bucket] += 1
-            if token.status is Status.LABELED and outcomes.get(index) == UNCHANGED:
+            if token.status is Status.LABELED and resolution.outcome == UNCHANGED:
                 single[bucket] += 1
 
     counts = EvaluationCounts.tally(overall["a"], overall["b"], overall["c"])

@@ -18,9 +18,7 @@ from __future__ import annotations
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .annotate import AnnotatedUtterance, Status, TokenAnnotation
-# `merge` is no longer called here. The name stays because code that wraps
-# `ontosem.interpret.merge` by module attribute still looks it up:
-# `benchmarks/spans.py` does, and its `interpret.merge_calls` now reads 0.
+# `merge` is not called here; `benchmarks/spans.py` traces `interpret.merge` by name
 from .ontology import EMPTY, Ontology, merge, relation_target  # noqa: F401
 
 RESOLVED = "resolved"
@@ -44,6 +42,8 @@ class Resolution(NamedTuple):
 
 
 class InterpretedUtterance(NamedTuple):
+    """`resolutions[i]` is the Resolution of `tokens[i]`: one per token, in order."""
+
     id: str
     tokens: tuple[TokenAnnotation, ...]
     resolutions: tuple[Resolution, ...]
@@ -124,14 +124,7 @@ def interpret(
         if resolution.outcome == RESOLVED:
             assert resolution.relation_token_index is not None
             consumed.add(resolution.relation_token_index)
-            tokens.append(
-                TokenAnnotation(
-                    surface=token.surface,
-                    labels=frozenset({resolution.label}),
-                    relation_ids=EMPTY,
-                    status=Status.LABELED,
-                )
-            )
+            tokens.append(TokenAnnotation(token.surface, frozenset({resolution.label}), EMPTY, Status.LABELED))
         else:
             tokens.append(token)
 

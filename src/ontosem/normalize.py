@@ -34,6 +34,7 @@ given the ontologies `normalize` will be passed.
 
 from __future__ import annotations
 
+import re
 from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
@@ -45,6 +46,10 @@ from .ontology import Ontology, lookup
 
 # characters discarded during tokenization (never become tokens)
 PUNCTUATION = frozenset("؟?!.,")
+
+# the token rule: a token is a maximal run of characters that are neither
+# whitespace (`str.isspace`, which `\s` matches) nor PUNCTUATION
+_TOKEN = re.compile(f"[^\\s{re.escape(''.join(sorted(PUNCTUATION)))}]+")
 
 
 class TablesError(ValueError):
@@ -227,10 +232,8 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
     emitted += [("clitic", rule.prefix, s) for rule in tables.clitics for s in rule.expansion]
     for kind, key, surface in emitted:
         surface = radicalize(surface, tables)
-        # `tokenize` without building tokens: no whitespace, no punctuation,
-        # nothing transliteration changes
-        if (surface.split() != [surface] or not PUNCTUATION.isdisjoint(surface)
-                or not (surface.isascii() or transliterate(surface) == surface)):
+        # `tokenize` gives [surface] (ASCII is a fixed point of `transliterate`)
+        if not _TOKEN.fullmatch(surface) or not (surface.isascii() or transliterate(surface) == surface):
             parts = [t.surface for t in tokenize(RawUtterance("", surface))]
             findings.append(f"{kind} {key!r} emits {surface!r}, which a second pass tokenizes into {parts!r}")
         elif len(parts := split(surface)) > 1:
@@ -247,24 +250,12 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
 
 
 def tokenize(raw: RawUtterance) -> list[Token]:
-    """Split on whitespace, discarding punctuation; spans index the raw text.
-
-    Arabic script is transliterated first; the mapping is one-to-one so spans
-    are valid for the original text as well.
+    """The tokens of `raw`: the runs the token rule (`_TOKEN`) finds in the
+    transliterated text. Transliteration maps one character to one, so the
+    spans index the raw text as well.
     """
     text = transliterate(raw.text)
-    tokens: list[Token] = []
-    start = None
-    for pos, char in enumerate(text):
-        if char.isspace() or char in PUNCTUATION:
-            if start is not None:
-                tokens.append(Token(text[start:pos], (start, pos)))
-                start = None
-        elif start is None:
-            start = pos
-    if start is not None:
-        tokens.append(Token(text[start:], (start, len(text))))
-    return tokens
+    return [Token(match[0], match.span()) for match in _TOKEN.finditer(text)]
 
 
 def expand_clitics(

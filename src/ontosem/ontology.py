@@ -91,6 +91,10 @@ class Ontology(_Collections):
             tuple(sorted(relations, key=lambda r: r.id)),
         )
 
+    @classmethod
+    def _make(cls, iterable) -> "Ontology":  # `_replace` calls it: sort there too
+        return cls(*iterable)
+
     # -- indexes -----------------------------------------------------------
 
     @cached_property

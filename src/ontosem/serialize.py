@@ -31,7 +31,7 @@ import re
 from typing import Iterable
 
 from .annotate import AnnotatedUtterance, SEMANTIC_RELATION_LABEL, Status, TokenAnnotation, committed_label
-from .interpret import InterpretedUtterance, Resolution
+from .interpret import InterpretedUtterance
 
 ANNOTATED_TSV_HEADER = "# ontosem annotations v1: utterance_id\ttoken_index\tsurface\tstatus\tlabels\trelation_ids"
 INTERPRETED_TSV_HEADER = (
@@ -132,11 +132,8 @@ def annotated_to_tsv(utterances: Iterable[AnnotatedUtterance]) -> str:
 def interpreted_to_tsv(utterances: Iterable[InterpretedUtterance]) -> str:
     lines = [INTERPRETED_TSV_HEADER]
     for utterance in utterances:
-        resolutions: dict[int, Resolution] = {
-            r.token_index: r for r in utterance.resolutions
-        }
-        for index, token in enumerate(utterance.tokens):
-            resolution = resolutions[index]
+        pairs = zip(utterance.tokens, utterance.resolutions, strict=True)
+        for index, (token, resolution) in enumerate(pairs):
             lines.append(
                 "\t".join(
                     (

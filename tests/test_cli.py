@@ -157,6 +157,21 @@ def test_pipeline_commands_reject_a_pair_that_validate_rejects(out, tmp_path, ca
     assert capsys.readouterr().err == f"merged: {detail}\n"
 
 
+def test_export_owl_rejects_the_pair_as_interpret_does(out, tmp_path, capsys):
+    # the task makes the domain instance `Alywm` a trigger
+    doc = json.loads(samples.task_ontology_path().read_text(encoding="utf-8"))
+    doc["relations"][0]["triggers"].append("Alywm")
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(doc), encoding="utf-8")
+
+    assert run([*PIPELINE_COMMANDS["interpret"], "--task", str(task), "--out", str(out)]) == 2
+    rejected = capsys.readouterr().err
+    assert rejected.startswith("ontosem: ontology failed validation: trigger-instance-overlap: surface 'Alywm'")
+    assert run(["export-owl", "--task", str(task), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == rejected
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "export-owl"])
 def test_merged_document_commands_merge_the_pair(out, monkeypatch, command):
     merged = []
@@ -415,8 +430,10 @@ def test_validate_broken_ontology_exits_2(out, tmp_path, capsys):
     code = run(["validate", "--domain", str(broken), "--out", str(out)])
     assert code == 2
     findings = json.loads(out.read_text(encoding="utf-8"))
-    assert any(f["code"] == "taxonomy-cycle" for f in findings)
-    assert "taxonomy-cycle" in capsys.readouterr().err
+    # the merge has the cycle too; it is listed once, for the file that has it
+    detail = "concept 'A' is its own ancestor"
+    assert findings == [{"ontology": "domain", "code": "taxonomy-cycle", "detail": detail}]
+    assert capsys.readouterr().err == f"domain: taxonomy-cycle: {detail}\n"
 
 
 def test_validate_unparseable_ontology_exits_1(out, tmp_path):

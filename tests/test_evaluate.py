@@ -64,6 +64,14 @@ def test_counts_invariant_enforced():
         EvaluationCounts(-1, 0, 1, 0)
 
 
+def test_replace_and_make_check_the_counts():
+    assert EvaluationCounts(1, 1, 1, 3)._replace(correct=2, total=4) == EvaluationCounts(2, 1, 1, 4)
+    with pytest.raises(ValueError, match="total 9"):
+        EvaluationCounts(1, 1, 1, 3)._replace(total=9)
+    with pytest.raises(ValueError, match="non-negative"):
+        EvaluationCounts._make((-1, 0, 1, 0))
+
+
 def test_perfect_run_metrics():
     m = metrics(EvaluationCounts.tally(correct=7))
     assert m.precision == 1.0

@@ -11,6 +11,7 @@ from ontosem.normalize import (
     CliticRule,
     CompoundRule,
     NormalizationTables,
+    PUNCTUATION,
     NormalizedUtterance,
     RawUtterance,
     TablesError,
@@ -146,6 +147,58 @@ def test_tokenize_spans_index_raw_text():
     for token in tokenize(raw):
         start, end = token.span
         assert transliterate(raw.text[start:end]) == token.surface
+
+
+def reference_tokenize(raw):
+    """The token rule as a loop over characters: a token ends at whitespace
+    (`str.isspace`) or a PUNCTUATION character."""
+    text = transliterate(raw.text)
+    tokens = []
+    start = None
+    for pos, char in enumerate(text):
+        if char.isspace() or char in PUNCTUATION:
+            if start is not None:
+                tokens.append(Token(text[start:pos], (start, pos)))
+                start = None
+        elif start is None:
+            start = pos
+    if start is not None:
+        tokens.append(Token(text[start:], (start, len(text))))
+    return tokens
+
+
+token_text = st.text(
+    st.sampled_from(
+        sorted(PUNCTUATION)
+        + list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000")
+        + list("تونسالقطرحةء،؛٣۴")  # Arabic letters, punctuation and digits
+        + ["\u200c"]  # zero-width non-joiner
+        + list("lwqA$x_")
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=token_text)
+def test_property_tokenize_matches_the_character_loop(text):
+    raw = RawUtterance("u", text)
+    assert tokenize(raw) == reference_tokenize(raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(surface=token_text)
+def test_property_read_back_accepts_exactly_the_single_tokens(tmp_path_factory, surface):
+    # a variant base is an emitted surface; nothing else in these tables can fail
+    path = tmp_path_factory.getbasetemp() / "read_back_tables.json"
+    path.write_text(json.dumps({"format_version": 1, "variants": {"KEY": surface}}, ensure_ascii=False),
+                    encoding="utf-8")
+    try:
+        load_tables(path)
+        accepted = True
+    except TablesError:
+        accepted = False
+    assert accepted == (surfaces(tokenize(RawUtterance("u", surface))) == [surface])
 
 
 # -- clitic expansion ---------------------------------------------------------------

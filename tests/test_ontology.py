@@ -296,6 +296,12 @@ def test_merge_unions_instance_concept_sets():
     assert lookup("w", [merge(a, b)])[0] == {"A", "B"}
 
 
+def test_replace_and_make_sort_like_the_constructor():
+    a, b = Concept("A", "domain"), Concept("B", "domain")
+    assert Ontology()._replace(concepts=(b, a)).concepts == (a, b)
+    assert Ontology._make(((b, a), (), (), ())) == Ontology(concepts=(a, b))
+
+
 # -- the domain/task pair, unmerged -------------------------------------------------
 
 CONCEPT_NAMES = ("A", "B", "C")
