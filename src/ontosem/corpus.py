@@ -99,10 +99,10 @@ def load_gold(path: str | Path, *ontologies: Ontology) -> dict[str, GoldUtteranc
                 f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
             )
         utterance_id, index_text, surface, label = (p.strip() for p in parts)
-        try:
-            index = int(index_text)
-        except ValueError:
-            raise CorpusFormatError(f"{path}:{lineno}: token index {index_text!r} is not an integer") from None
+        # ASCII digits only: `int` also takes a sign, `_` and other scripts' digits
+        if not (index_text.isascii() and index_text.isdigit()):
+            raise CorpusFormatError(f"{path}:{lineno}: token index {index_text!r} is not an integer")
+        index = int(index_text)
         if ontologies and label not in known:
             raise UnknownGoldLabelError(f"{path}:{lineno}: unknown gold label {label!r}")
         if utterance_id != block or index == 0:  # the line starts an utterance

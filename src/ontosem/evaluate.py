@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .annotate import Status, committed_label
+from .annotate import Status, TokenAnnotation, committed_label
 from .corpus import GoldUtterance
 from .interpret import UNCHANGED, UNRESOLVED_POLICIES, InterpretedUtterance
 
@@ -128,6 +128,29 @@ def metrics(counts: EvaluationCounts) -> Metrics:
     return Metrics(precision_exact=precision, f_measure_exact=f_measure, f1_exact=f1)
 
 
+def _readings(
+    predicted_by_id: Mapping[str, InterpretedUtterance], gold: Mapping[str, GoldUtterance]
+) -> Iterator[tuple[TokenAnnotation, str, bool]]:
+    """Each token's reading, in gold order: its annotation, its gold label and
+    whether interpretation passed it through unchanged. Raises AlignmentError
+    at the first utterance or token that does not line up with gold."""
+    for uid, gold_utterance in gold.items():
+        prediction = predicted_by_id[uid]
+        if len(prediction.tokens) != len(gold_utterance.tokens):
+            raise AlignmentError(
+                f"utterance {uid!r}: {len(prediction.tokens)} predicted tokens"
+                f" vs {len(gold_utterance.tokens)} gold tokens"
+            )
+        rows = zip(prediction.tokens, prediction.resolutions, gold_utterance.tokens, strict=True)
+        for index, (token, resolution, gold_token) in enumerate(rows):
+            if token.surface != gold_token.surface:
+                raise AlignmentError(
+                    f"utterance {uid!r} token {index}: surface {token.surface!r}"
+                    f" vs gold {gold_token.surface!r}"
+                )
+            yield token, gold_token.label, resolution.outcome == UNCHANGED
+
+
 def report(
     predicted: Iterable[InterpretedUtterance],
     gold: Mapping[str, GoldUtterance],
@@ -153,36 +176,25 @@ def report(
             f"utterance ids differ: missing from predictions {missing}, not in gold {extra}"
         )
 
+    # a token's bucket follows from its reading alone: pick each distinct
+    # reading's bucket once and count it as often as the reading occurs
     overall, single = Counter(), Counter()  # bucket -> tokens
     per_concept: dict[str, Counter] = defaultdict(Counter)
-    for uid, gold_utterance in gold.items():
-        prediction = predicted_by_id[uid]
-        if len(prediction.tokens) != len(gold_utterance.tokens):
-            raise AlignmentError(
-                f"utterance {uid!r}: {len(prediction.tokens)} predicted tokens"
-                f" vs {len(gold_utterance.tokens)} gold tokens"
-            )
-        rows = zip(prediction.tokens, prediction.resolutions, gold_utterance.tokens, strict=True)
-        for index, (token, resolution, gold_token) in enumerate(rows):
-            if token.surface != gold_token.surface:
-                raise AlignmentError(
-                    f"utterance {uid!r} token {index}: surface {token.surface!r}"
-                    f" vs gold {gold_token.surface!r}"
-                )
-            committed = committed_label(token)
-            if token.status is Status.AMBIGUOUS:
-                bucket = "b" if unresolved_policy == "incorrect" else "c"
-            elif committed is None:
-                bucket = "c"
-            elif committed == gold_token.label:
-                bucket = "a"
-            else:
-                bucket = "b"
+    for (token, gold_label, unchanged), n in Counter(_readings(predicted_by_id, gold)).items():
+        committed = committed_label(token)
+        if token.status is Status.AMBIGUOUS:
+            bucket = "b" if unresolved_policy == "incorrect" else "c"
+        elif committed is None:
+            bucket = "c"
+        elif committed == gold_label:
+            bucket = "a"
+        else:
+            bucket = "b"
 
-            overall[bucket] += 1
-            per_concept[gold_token.label][bucket] += 1
-            if token.status is Status.LABELED and resolution.outcome == UNCHANGED:
-                single[bucket] += 1
+        overall[bucket] += n
+        per_concept[gold_label][bucket] += n
+        if token.status is Status.LABELED and unchanged:
+            single[bucket] += n
 
     counts = EvaluationCounts.tally(overall["a"], overall["b"], overall["c"])
     return EvaluationReport(

@@ -83,24 +83,26 @@ def quoteattr(text: str) -> str:
     return '"' + text.replace('"', "&quot;") + '"'
 
 
-def _token_xml(token: TokenAnnotation) -> list[str]:
+def _token_xml(token: TokenAnnotation) -> str:
     is_marker = token.status is Status.RELATION_MARKER
     labels = [SEMANTIC_RELATION_LABEL] if is_marker else sorted(token.labels)
     opening = f"    <token value={quoteattr(token.surface)}"
     if not labels:
-        return [opening + "/>"]
-    lines = [opening + ">"]
-    lines.extend(f"      <annotation>{escape(label)}</annotation>" for label in labels)
-    lines.append("    </token>")
-    return lines
+        return opening + "/>"
+    annotations = "".join(f"\n      <annotation>{escape(label)}</annotation>" for label in labels)
+    return f"{opening}>{annotations}\n    </token>"
 
 
 def annotated_to_xml(utterances: Iterable[AnnotatedUtterance | InterpretedUtterance]) -> str:
     lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<utterances>"]
+    blocks: dict[TokenAnnotation, str] = {}  # equal tokens render alike: each is rendered once
     for utterance in utterances:
         lines.append(f"  <utterance id={quoteattr(utterance.id)}>")
         for token in utterance.tokens:
-            lines.extend(_token_xml(token))
+            block = blocks.get(token)
+            if block is None:
+                block = blocks[token] = _token_xml(token)
+            lines.append(block)
         lines.append("  </utterance>")
     lines.append("</utterances>")
     return _checked_xml("\n".join(lines) + "\n")
@@ -131,24 +133,25 @@ def annotated_to_tsv(utterances: Iterable[AnnotatedUtterance]) -> str:
 
 def interpreted_to_tsv(utterances: Iterable[InterpretedUtterance]) -> str:
     lines = [INTERPRETED_TSV_HEADER]
+    # the six columns between the token index and the marker's index, joined
+    # once per distinct (token, candidates, outcome, via_relation)
+    middles: dict[tuple, str] = {}
     for utterance in utterances:
         pairs = zip(utterance.tokens, utterance.resolutions, strict=True)
         for index, (token, resolution) in enumerate(pairs):
-            lines.append(
-                "\t".join(
+            key = (token, resolution.candidates, resolution.outcome, resolution.via_relation)
+            middle = middles.get(key)
+            if middle is None:
+                middle = middles[key] = "\t".join(
                     (
-                        utterance.id,
-                        str(index),
                         token.surface,
                         token.status.value,
                         committed_label(token) or _ABSENT,
                         "|".join(sorted(resolution.candidates)) or _ABSENT,
                         resolution.outcome,
                         resolution.via_relation or _ABSENT,
-                        _ABSENT
-                        if resolution.relation_token_index is None
-                        else str(resolution.relation_token_index),
                     )
                 )
-            )
+            marker = resolution.relation_token_index
+            lines.append(f"{utterance.id}\t{index}\t{middle}\t{_ABSENT if marker is None else marker}")
     return "\n".join(lines) + "\n"

@@ -148,6 +148,16 @@ def test_gold_index_order_checked(tmp_path):
         load_gold(path)
 
 
+@pytest.mark.parametrize("index", ["0_0", "+1", "-1", "٠"], ids=["underscore", "plus", "minus", "arabic-indic-zero"])
+def test_gold_index_takes_ascii_digits_only(tmp_path, index):
+    """`int` reads each of these as an integer; a gold file may not."""
+    path = tmp_path / "g.tsv"
+    path.write_text(f"u1\t{index}\tOtrAn\tTrain\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as err:
+        load_gold(path)
+    assert str(err.value) == f"{path}:1: token index {index!r} is not an integer"
+
+
 def test_shipped_gold_aligns_with_normalized_corpus(merged):
     domain = samples.load_sample_domain()
     task = samples.load_sample_task()
