@@ -79,4 +79,13 @@ def annotate(normalized: NormalizedUtterance, *ontologies: Ontology) -> Annotate
 def annotate_all(
     utterances: Iterable[NormalizedUtterance], *ontologies: Ontology
 ) -> list[AnnotatedUtterance]:
-    return [annotate(u, *ontologies) for u in utterances]
+    """`annotate` of each utterance, with each distinct surface annotated once
+    per call (an unvalidated pair's overlap warning logs once per surface)."""
+    known: dict[str, TokenAnnotation] = {}
+
+    def annotation(surface: str) -> TokenAnnotation:
+        if (found := known.get(surface)) is None:
+            found = known[surface] = annotate_token(surface, *ontologies)
+        return found
+
+    return [AnnotatedUtterance(u.id, tuple(annotation(t.surface) for t in u.tokens)) for u in utterances]

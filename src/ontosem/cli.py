@@ -20,7 +20,7 @@ from .annotate import annotate_all
 from .corpus import CorpusFormatError, load_gold, load_utterances, stats
 from .interpret import TIE_BREAKS, UNRESOLVED_POLICIES, interpret_all
 from .normalize import TablesError, load_tables, normalize_all
-from .ontology import merge, trigger_instance_overlap, validate
+from .ontology import conflicting_declarations, merge, trigger_instance_overlap, validate
 from .ontology_io import (
     OntologyFormatError,
     OntologyValidationError,
@@ -121,10 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_pair(args: argparse.Namespace):
-    """Load the ontology pair, unmerged, and check that no surface is an
-    instance in one and a trigger in the other."""
+    """Load the ontology pair, unmerged, and refuse a concept, relation id or
+    surface that the two files declare in conflict."""
     ontologies = (load_ontology(args.domain), load_ontology(args.task))
-    if findings := trigger_instance_overlap(ontologies):
+    if findings := conflicting_declarations(ontologies) + trigger_instance_overlap(ontologies):
         raise OntologyValidationError(findings)
     return ontologies
 

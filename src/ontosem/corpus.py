@@ -59,7 +59,7 @@ def _lines(path: Path) -> Iterator[tuple[int, str]]:
     (`str.splitlines` also splits at U+2028, form feed, ...); blank lines and
     `#` lines are skipped."""
     for lineno, line in enumerate(read(path, CorpusFormatError, str).split("\n"), 1):
-        if line.strip() and not line.startswith("#"):
+        if line and not line.isspace() and not line.startswith("#"):
             yield lineno, line
 
 
@@ -98,7 +98,7 @@ def load_gold(path: str | Path, *ontologies: Ontology) -> dict[str, GoldUtteranc
             raise CorpusFormatError(
                 f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
             )
-        utterance_id, index_text, surface, label = (p.strip() for p in parts)
+        utterance_id, index_text, surface, label = map(str.strip, parts)
         # ASCII digits only: `int` also takes a sign, `_` and other scripts' digits
         if not (index_text.isascii() and index_text.isdigit()):
             raise CorpusFormatError(f"{path}:{lineno}: token index {index_text!r} is not an integer")
@@ -114,7 +114,7 @@ def load_gold(path: str | Path, *ontologies: Ontology) -> dict[str, GoldUtteranc
             raise CorpusFormatError(
                 f"{path}:{lineno}: token index {index} out of order (expected {len(tokens)})"
             )
-        tokens.append(GoldToken(index=index, surface=surface, label=label))
+        tokens.append(GoldToken(index, surface, label))
     return {uid: GoldUtterance(id=uid, tokens=tuple(tokens)) for uid, tokens in grouped.items()}
 
 

@@ -289,6 +289,14 @@ def trigger_instance_overlap(ontologies: Sequence[Ontology]) -> list[Finding]:
     ]
 
 
+def conflicting_declarations(ontologies: Sequence[Ontology]) -> list[Finding]:
+    """The findings of `validate(merge(*ontologies))` for a concept name
+    declared with two kinds or a relation id with two contents, from a merge
+    of the concepts and relations alone: no instance is read."""
+    declared = merge(*(Ontology(concepts=o.concepts, relations=o.relations) for o in ontologies))
+    return [f for f in validate(declared) if f.code in ("duplicate-concept", "duplicate-relation")]
+
+
 def _cycle_nodes(parents_of: dict[str, list[str]]) -> list[str]:
     """Nodes on a child->parent cycle, via iterative three-color DFS."""
     WHITE, GRAY, BLACK = 0, 1, 2

@@ -54,15 +54,17 @@ class XMLCharacterError(ValueError):
 _TOP_ELEMENT = re.compile(r"""  <([\w:]+) [\w:]+=("[^"]*"|'[^']*')""")
 
 
-def _checked_xml(document: str) -> str:
-    if bad := _NOT_XML.search(document):
-        where = ""
-        if element := _TOP_ELEMENT.match(document, document.rfind("\n  <", 0, bad.start()) + 1):
+def _checked_xml(text: str, utterance_id: str | None = None) -> str:
+    """`text`, refused if it holds a character XML 1.0 forbids, naming the
+    utterance it belongs to, or in a whole document the enclosing element."""
+    if bad := _NOT_XML.search(text):
+        where = "" if utterance_id is None else f" for utterance {utterance_id!r}"
+        if utterance_id is None and (element := _TOP_ELEMENT.match(text, text.rfind("\n  <", 0, bad.start()) + 1)):
             from html import unescape
 
             where = f" for {element[1]} {unescape(element[2][1:-1])!r}"
         raise XMLCharacterError(f"cannot write XML{where}: U+{ord(bad[0]):04X} is not allowed in XML 1.0")
-    return document
+    return text
 
 
 # `xml.sax.saxutils` has these two, but importing it imports `urllib.request`
@@ -95,17 +97,19 @@ def _token_xml(token: TokenAnnotation) -> str:
 
 def annotated_to_xml(utterances: Iterable[AnnotatedUtterance | InterpretedUtterance]) -> str:
     lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<utterances>"]
-    blocks: dict[TokenAnnotation, str] = {}  # equal tokens render alike: each is rendered once
+    # equal tokens render alike: each is rendered and checked once, at first
+    # sight, so pieces are checked in document order
+    blocks: dict[TokenAnnotation, str] = {}
     for utterance in utterances:
-        lines.append(f"  <utterance id={quoteattr(utterance.id)}>")
+        lines.append(_checked_xml(f"  <utterance id={quoteattr(utterance.id)}>", utterance.id))
         for token in utterance.tokens:
             block = blocks.get(token)
             if block is None:
-                block = blocks[token] = _token_xml(token)
+                block = blocks[token] = _checked_xml(_token_xml(token), utterance.id)
             lines.append(block)
         lines.append("  </utterance>")
     lines.append("</utterances>")
-    return _checked_xml("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # both stages list tokens the same way; only the labels they carry differ

@@ -10,6 +10,7 @@ from ontosem.annotate import (
     Status,
     TokenAnnotation,
     annotate,
+    annotate_all,
     annotate_token,
     committed_label,
 )
@@ -119,6 +120,19 @@ def test_relation_wins_over_instance_on_unvalidated_ontology(caplog):
     assert token.status is Status.RELATION_MARKER
     assert token.labels == frozenset()
     assert any("both instance and relation trigger" in r.message for r in caplog.records)
+
+    # the whole-corpus pass annotates a repeated surface once per call, so
+    # it warns once per distinct surface per call
+    caplog.clear()
+    utterances = [normalized(["w", "x", "w"], uid="u1"), normalized(["w"], uid="u2")]
+    with caplog.at_level(logging.WARNING, logger="ontosem.annotate"):
+        annotated = annotate_all(utterances, broken)
+        annotate_all(utterances, broken)
+    assert [t.status for t in annotated[0].tokens + annotated[1].tokens] == [
+        Status.RELATION_MARKER, Status.NOT_RECOGNIZED, Status.RELATION_MARKER, Status.RELATION_MARKER,
+    ]
+    warned = [r for r in caplog.records if "both instance and relation trigger" in r.message]
+    assert len(warned) == 2
 
 
 def test_three_plus_candidate_labels_allowed():

@@ -172,6 +172,40 @@ def test_export_owl_rejects_the_pair_as_interpret_does(out, tmp_path, capsys):
     assert not out.exists()
 
 
+def _redeclare_arrival_city(doc):
+    doc["concepts"].append({"name": "Arrival_City", "kind": "task"})
+
+
+def _redeclare_rel_class(doc):
+    # the domain's relation with another trigger, and its two concepts as the domain declares them
+    doc["concepts"] += [{"name": "Ticket", "kind": "domain"}, {"name": "Ticket_Class", "kind": "domain"}]
+    doc["relations"].append({"id": "rel_class", "triggers": ["drjp"], "source": "Ticket", "target": "Ticket_Class"})
+
+
+CONFLICTING_TASKS = {
+    "concept-with-two-kinds": (_redeclare_arrival_city, "duplicate-concept: concept name 'Arrival_City' declared more than once"),
+    "relation-with-two-contents": (_redeclare_rel_class, "duplicate-relation: relation id 'rel_class' declared more than once"),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "export-owl"])
+@pytest.mark.parametrize("conflict", CONFLICTING_TASKS)
+def test_pair_commands_reject_a_declaration_the_files_make_twice(out, tmp_path, capsys, command, conflict):
+    mutate, detail = CONFLICTING_TASKS[conflict]
+    doc = json.loads(samples.task_ontology_path().read_text(encoding="utf-8"))
+    mutate(doc)
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(doc), encoding="utf-8")
+    argv = PIPELINE_COMMANDS.get(command, [command])
+
+    assert run(["validate", "--task", str(task), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"merged: {detail}\n"
+    out.unlink()
+    assert run([*argv, "--task", str(task), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"ontosem: ontology failed validation: {detail}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "export-owl"])
 def test_merged_document_commands_merge_the_pair(out, monkeypatch, command):
     merged = []

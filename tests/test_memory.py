@@ -1,12 +1,14 @@
 """Memory the pipeline's results hold per token, and a loaded lexicon per
 instance, measured with tracemalloc.
 
-The per-token and per-record types are NamedTuples and annotation shares
-the ontology index's label sets, so a batch's results hold about 585 B per
-token (Python 3.11; about 1,170 B with a `__dict__` per record and fresh sets
-per token). The bound sits about 16% above that figure: it fails on a record
-type that gains a `__dict__` or on new per-token allocation, and is
-deterministic, unlike a process-wide peak RSS.
+The per-token and per-record types are NamedTuples, annotation shares the
+ontology index's label sets, and `annotate_all` shares one `TokenAnnotation`
+per distinct surface, so a batch's results hold about 514 B per token
+(Python 3.11; about 593 B with a `TokenAnnotation` per token, about 1,170 B
+with a `__dict__` per record and fresh sets per token). The bound sits
+between the first two figures: it fails on a `TokenAnnotation` per token
+again, on a record type that gains a `__dict__` or on new per-token
+allocation, and is deterministic, unlike a process-wide peak RSS.
 """
 
 import gc
@@ -33,7 +35,7 @@ from ontosem.normalize import (
 from ontosem.ontology import Concept, Finding, Instance, Ontology, Relation, TaxonomyEdge, lookup
 from ontosem.ontology_io import load_ontology
 
-BYTES_PER_TOKEN_BOUND = 680
+BYTES_PER_TOKEN_BOUND = 560
 COPIES = 40
 BYTES_PER_INSTANCE_BOUND = 200
 INSTANCES = 20_000

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import surface_vocabulary
 from ontosem.ontology import (
     EMPTY,
+    KINDS,
     Concept,
     Instance,
     Ontology,
     Relation,
     TaxonomyEdge,
     UnknownRelationError,
+    conflicting_declarations,
     lookup,
     merge,
     relation_target,
@@ -370,6 +372,27 @@ def test_pair_overlap_names_a_surface_each_ontology_holds_once(domain, task):
 def test_property_pair_overlap_equals_the_merged_one(pair):
     merged = [f for f in validate(merge(*pair)) if f.code == "trigger-instance-overlap"]
     assert trigger_instance_overlap(pair) == merged
+
+
+def redeclared(ontology, declarations):
+    return ontology._replace(concepts=tuple(Concept(n, *d) for n, d in zip(CONCEPT_NAMES, declarations)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pair=st.tuples(generated_ontology("first"), generated_ontology("second")),
+    declarations=st.lists(
+        st.tuples(st.sampled_from(KINDS), st.sampled_from((None, "g1", "g2"))),
+        min_size=2 * len(CONCEPT_NAMES), max_size=2 * len(CONCEPT_NAMES),
+    ),
+)
+def test_property_pair_conflicts_equal_the_merged_duplicates(pair, declarations):
+    """Concept kinds and glosses differ across the pair; `r_both` may be
+    declared twice, alike or not."""
+    half = len(CONCEPT_NAMES)
+    pair = (redeclared(pair[0], declarations[:half]), redeclared(pair[1], declarations[half:]))
+    merged = [f for f in validate(merge(*pair)) if f.code in ("duplicate-concept", "duplicate-relation")]
+    assert conflicting_declarations(pair) == merged
 
 
 def test_only_the_ontology_module_reads_its_indexes():

@@ -1,23 +1,48 @@
-"""The XML writer, the interpreted-TSV writer and `report` do their per-token
-work once per distinct token. The references below do it once per token; on
-any corpus both must give the same bytes and the same report."""
+"""The whole-corpus functions do their per-token work once per distinct
+token: `annotate_all` annotates each distinct surface once, the XML writers
+render and check each distinct token once, the interpreted-TSV writer and
+`report` join and score each distinct reading once. The references below do
+it once per token, and `load_gold`'s reference is its earlier per-line loop;
+on any input both must give the same result or raise the same error."""
 
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter, defaultdict
+from html import unescape
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from conftest import make_normalized
-from ontosem.annotate import SEMANTIC_RELATION_LABEL, Status, annotate, committed_label
-from ontosem.corpus import OOV_LABEL, GoldToken, GoldUtterance
+from ontosem import annotate as annotate_module
+from ontosem._input import read
+from ontosem.annotate import (
+    SEMANTIC_RELATION_LABEL,
+    AnnotatedUtterance,
+    Status,
+    TokenAnnotation,
+    annotate,
+    annotate_all,
+    committed_label,
+)
+from ontosem.corpus import (
+    OOV_LABEL,
+    CorpusFormatError,
+    DuplicateUtteranceIdError,
+    GoldToken,
+    GoldUtterance,
+    UnknownGoldLabelError,
+    load_gold,
+)
 from ontosem.evaluate import AlignmentError, EvaluationCounts, EvaluationReport, metrics, report
 from ontosem.interpret import RESOLVED, TIE_BREAKS, UNCHANGED, UNRESOLVED, UNRESOLVED_POLICIES, interpret
-from ontosem.ontology import Concept, Instance, Ontology, Relation
+from ontosem.ontology import EMPTY, Concept, Instance, Ontology, Relation
 from ontosem.serialize import (
     INTERPRETED_TSV_HEADER,
+    XMLCharacterError,
     annotated_to_xml,
     escape,
     interpreted_to_tsv,
@@ -49,6 +74,21 @@ def reference_xml(utterances):
         lines.append("  </utterance>")
     lines.append("</utterances>")
     return "\n".join(lines) + "\n"
+
+
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+_TOP_ELEMENT = re.compile(r"""  <([\w:]+) [\w:]+=("[^"]*"|'[^']*')""")
+
+
+def reference_checked_xml(document):
+    """The whole-document check: the first forbidden character, and the
+    top-level element whose line last opened before it."""
+    if bad := _NOT_XML.search(document):
+        where = ""
+        if element := _TOP_ELEMENT.match(document, document.rfind("\n  <", 0, bad.start()) + 1):
+            where = f" for {element[1]} {unescape(element[2][1:-1])!r}"
+        raise XMLCharacterError(f"cannot write XML{where}: U+{ord(bad[0]):04X} is not allowed in XML 1.0")
+    return document
 
 
 def reference_interpreted_tsv(utterances):
@@ -250,3 +290,254 @@ def test_the_first_alignment_fault_in_gold_order_raises():
             with pytest.raises(AlignmentError) as expected:
                 reference_report(predicted, gold, policy)
             assert str(err.value) == str(expected.value) == messages[first.id]
+
+
+# -- annotate_all: each distinct surface annotated once ------------------------------------
+
+# the same surfaces under other labels: `amb` is plain, `zzz` ambiguous, `pln`
+# a marker and `m1` a task instance
+OTHER_DOMAIN = Ontology(
+    concepts=(Concept("D1", "domain"), Concept("D2", "domain")),
+    instances=(Instance("amb", frozenset({"D1"})), Instance("zzz", frozenset({"D1", "D2"}))),
+    relations=(Relation("rel_p", frozenset({"pln"}), "D1", "D2"),),
+)
+OTHER_TASK = Ontology(concepts=(Concept("T9", "task"),), instances=(Instance("m1", frozenset({"T9"})),))
+PAIRS = [(DOMAIN, TASK), (TASK, DOMAIN), (OTHER_DOMAIN, OTHER_TASK), (DOMAIN,), ()]
+
+
+@st.composite
+def normalized_corpora(draw):
+    """Normalized utterances over SURFACES (plus OOV `new`). A surface repeats
+    within and across utterances, sometimes as a distinct string object equal
+    to an earlier one."""
+    utterances = []
+    for u in range(draw(st.integers(0, 6))):
+        surfaces = draw(st.lists(st.sampled_from(SURFACES + ["new"]), max_size=8))
+        # `(s + "~")[:-1]` is a new object equal to `s`
+        surfaces = [(s + "~")[:-1] if draw(st.booleans()) else s for s in surfaces]
+        utterances.append(make_normalized(surfaces, uid=f"u{u}"))
+    return utterances
+
+
+@settings(max_examples=300, deadline=None)
+@given(normalized_corpora(), st.sampled_from(PAIRS))
+def test_annotate_all_equals_annotate_per_utterance(utterances, pair):
+    assert annotate_all(utterances, *pair) == [annotate(u, *pair) for u in utterances]
+
+
+def _surfaces(utterances):
+    return [t.surface for u in utterances for t in u.tokens]
+
+
+@pytest.mark.parametrize("holds", [
+    lambda c: {"zzz", "amb", "m12"} <= set(_surfaces(c)),  # OOV, ambiguous and marker
+    lambda c: len(set(_surfaces(c))) < len(_surfaces(c)),
+    lambda c: any(a == b and a is not b for a, b in itertools.combinations(_surfaces(c), 2)),
+], ids=["oov-ambiguous-marker", "repeated", "equal-not-same"])
+def test_the_normalized_corpora_hold_what_the_property_needs(holds):
+    find(normalized_corpora(), holds, settings=settings(database=None, phases=[Phase.generate]))
+
+
+def test_annotate_all_annotates_each_distinct_surface_once_per_call(monkeypatch):
+    calls = []
+
+    def counted(surface, *ontologies):
+        calls.append(surface)
+        return annotate_token(surface, *ontologies)
+
+    annotate_token = annotate_module.annotate_token
+    monkeypatch.setattr(annotate_module, "annotate_token", counted)
+    utterances = [make_normalized(["amb", "zzz", "amb"], uid="u0"), make_normalized(["zzz", "m1"], uid="u1")]
+    annotated = annotate_all(utterances, DOMAIN, TASK)
+    assert calls == ["amb", "zzz", "m1"]
+    assert annotated[0].tokens[0] is annotated[0].tokens[2] is not None
+    assert annotate_all(utterances, DOMAIN, TASK) == annotated
+    assert calls == ["amb", "zzz", "m1"] * 2  # nothing was kept from the first call
+
+
+def test_successive_calls_over_different_pairs_give_each_pairs_own_labels():
+    utterances = [make_normalized(["amb", "pln", "m1", "zzz"])]
+    first = annotate_all(utterances, DOMAIN, TASK)
+    second = annotate_all(utterances, OTHER_DOMAIN, OTHER_TASK)
+    assert first == [annotate(u, DOMAIN, TASK) for u in utterances]
+    assert second == [annotate(u, OTHER_DOMAIN, OTHER_TASK) for u in utterances]
+    assert [t.status for t in first[0].tokens] == [
+        Status.AMBIGUOUS, Status.LABELED, Status.RELATION_MARKER, Status.NOT_RECOGNIZED,
+    ]
+    assert [t.status for t in second[0].tokens] == [
+        Status.LABELED, Status.RELATION_MARKER, Status.LABELED, Status.AMBIGUOUS,
+    ]
+
+
+# -- the XML writers check each piece once, in document order ---------------------------
+
+
+def _written(utterances):
+    try:
+        return annotated_to_xml(utterances)
+    except XMLCharacterError as err:
+        return f"error: {err}"
+
+
+def _reference_written(utterances):
+    try:
+        return reference_checked_xml(reference_xml(utterances))
+    except XMLCharacterError as err:
+        return f"error: {err}"
+
+
+def _marker(surface):
+    return TokenAnnotation(surface, EMPTY, frozenset({"rel_a"}), Status.RELATION_MARKER)
+
+
+def _plain(surface, *labels):
+    status = Status.LABELED if len(labels) == 1 else Status.AMBIGUOUS if labels else Status.NOT_RECOGNIZED
+    return TokenAnnotation(surface, frozenset(labels), EMPTY, status)
+
+
+CLEAN = _plain("pln", "C3")
+BAD_TOKEN = _plain("b\x01d")
+CASES = {
+    "id": [AnnotatedUtterance("u0", (CLEAN,)), AnnotatedUtterance("u\x1f1", (CLEAN,))],
+    "token-first-seen-later": [
+        AnnotatedUtterance("u0", (CLEAN, _marker("m1"))),
+        AnnotatedUtterance("u1", (CLEAN, _plain("amb", "C1", "C\ufffe"))),
+    ],
+    "reused-token": [
+        AnnotatedUtterance("u0", (CLEAN,)),
+        AnnotatedUtterance("u1", (BAD_TOKEN, CLEAN)),
+        AnnotatedUtterance("u2", (CLEAN, BAD_TOKEN)),
+    ],
+    "id-and-token": [AnnotatedUtterance("u0", (CLEAN,)), AnnotatedUtterance("u\x0b1", (CLEAN, BAD_TOKEN))],
+    "token-then-id": [AnnotatedUtterance("u0", (CLEAN, BAD_TOKEN)), AnnotatedUtterance("u\x0b1", (CLEAN,))],
+    "two-in-one-token": [AnnotatedUtterance("u'\"0", (_marker("x\ud800y\x02"),))],
+}
+MESSAGES = {
+    "id": "cannot write XML for utterance 'u\\x1f1': U+001F is not allowed in XML 1.0",
+    "token-first-seen-later": "cannot write XML for utterance 'u1': U+FFFE is not allowed in XML 1.0",
+    "reused-token": "cannot write XML for utterance 'u1': U+0001 is not allowed in XML 1.0",
+    "id-and-token": "cannot write XML for utterance 'u\\x0b1': U+000B is not allowed in XML 1.0",
+    "token-then-id": "cannot write XML for utterance 'u0': U+0001 is not allowed in XML 1.0",
+    "two-in-one-token": "cannot write XML for utterance 'u\\'\"0': U+D800 is not allowed in XML 1.0",
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_a_forbidden_character_is_named_as_the_whole_document_check_names_it(case):
+    utterances = CASES[case]
+    assert _written(utterances) == _reference_written(utterances) == f"error: {MESSAGES[case]}"
+
+
+XML_TEXT = st.text(st.sampled_from(["a", "&", "'", '"', "<", "\n", "\t", "\x01", "\x0b", "\ud800", "\ufffe", "é"]), max_size=3)
+
+
+@st.composite
+def xml_corpora(draw):
+    """Utterances whose ids, surfaces and labels may hold forbidden characters;
+    a token is fresh, or shared with an earlier one."""
+    pool = draw(st.lists(st.builds(
+        TokenAnnotation, XML_TEXT, st.frozensets(XML_TEXT, max_size=2), st.just(EMPTY), st.sampled_from(Status),
+    ), min_size=1, max_size=4))
+    return [
+        AnnotatedUtterance(draw(XML_TEXT), tuple(draw(st.lists(st.sampled_from(pool), max_size=4))))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(xml_corpora())
+def test_the_xml_writers_refuse_what_the_whole_document_check_refuses(utterances):
+    assert _written(utterances) == _reference_written(utterances)
+
+
+# -- load_gold: the per-line loop it replaced -----------------------------------------------
+
+
+def reference_load_gold(path, *ontologies):
+    path = Path(path)
+    known = {SEMANTIC_RELATION_LABEL, OOV_LABEL}.union(*(o.concept_names for o in ontologies))
+    grouped = {}
+    block = None
+    for lineno, line in enumerate(read(path, CorpusFormatError, str).split("\n"), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise CorpusFormatError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
+        utterance_id, index_text, surface, label = (p.strip() for p in parts)
+        if not (index_text.isascii() and index_text.isdigit()):
+            raise CorpusFormatError(f"{path}:{lineno}: token index {index_text!r} is not an integer")
+        index = int(index_text)
+        if ontologies and label not in known:
+            raise UnknownGoldLabelError(f"{path}:{lineno}: unknown gold label {label!r}")
+        if utterance_id != block or index == 0:
+            if utterance_id in grouped:
+                raise DuplicateUtteranceIdError(f"{path}:{lineno}: duplicate id {utterance_id!r}")
+            block = utterance_id
+            tokens = grouped[utterance_id] = []
+        if index != len(tokens):
+            raise CorpusFormatError(f"{path}:{lineno}: token index {index} out of order (expected {len(tokens)})")
+        tokens.append(GoldToken(index=index, surface=surface, label=label))
+    return {uid: GoldUtterance(id=uid, tokens=tuple(tokens)) for uid, tokens in grouped.items()}
+
+
+def _loaded(load, path, ontologies):
+    try:
+        return load(path, *ontologies)
+    except CorpusFormatError as err:
+        return type(err), str(err)
+
+
+# lines a gold file may hold: token lines of two utterances with padded fields,
+# blank and whitespace-only lines (U+3000 and U+001C are whitespace too),
+# comments, and one line of each malformed kind
+GOLD_LINES = [
+    "u1\t0\tpln\tC3", "u1\t1\tamb\tC1", "u1\t2\tm1\tSemantic_Relation", " u2 \t 0\tzzz \t OOV",
+    "u2\t1\ttsk\tT1", "", " ", "\t \u3000", "\x1c", "# comment", "#u1\t0\tx\tC1",
+    "u1\t0\tpln", "u1\t0\tpln\tC3\textra",  # field count
+    "u1\tx\tpln\tC3", "u1\t-1\tpln\tC3", "u1\t١\tpln\tC3",  # not an ASCII integer
+    "u1\t0\tpln\tNope",  # unknown label
+    "u1\t3\tpln\tC3",  # out of order
+]
+
+
+@pytest.fixture(scope="module")
+def gold_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("gold")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(GOLD_LINES), max_size=10), st.booleans())
+def test_load_gold_equals_its_per_line_reference(gold_dir, lines, with_pair):
+    path = gold_dir / "g.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ontologies = (DOMAIN, TASK) if with_pair else ()
+    assert _loaded(load_gold, path, ontologies) == _loaded(reference_load_gold, path, ontologies)
+
+
+VALID_GOLD = "# gold\nu1\t0\tpln\tC3\nu1\t1\tamb\tC1\n\t\n u2 \t 0\tzzz \t OOV\n\nu1x\t0\tm1\tSemantic_Relation\n"
+MALFORMED_GOLD = {
+    "field-count": ("u1\t0\tpln\n", CorpusFormatError),
+    "index": ("u1\t+0\tpln\tC3\n", CorpusFormatError),
+    "unknown-label": ("u1\t0\tpln\tNope\n", UnknownGoldLabelError),
+    "duplicate-id": ("u1\t0\tpln\tC3\nu2\t0\tpln\tC3\nu1\t1\tpln\tC3\n", DuplicateUtteranceIdError),
+    "out-of-order": ("u1\t0\tpln\tC3\n\u3000\nu1\t2\tpln\tC3\n", CorpusFormatError),
+}
+
+
+def test_load_gold_reads_a_valid_file_as_its_reference_does(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text(VALID_GOLD, encoding="utf-8")
+    loaded = load_gold(path, DOMAIN, TASK)
+    assert loaded == reference_load_gold(path, DOMAIN, TASK) == reference_load_gold(path)
+    assert list(loaded) == ["u1", "u2", "u1x"] and loaded["u2"].tokens == (GoldToken(0, "zzz", "OOV"),)
+
+
+@pytest.mark.parametrize("kind", MALFORMED_GOLD)
+def test_load_gold_raises_as_its_reference_does(tmp_path, kind):
+    text, error = MALFORMED_GOLD[kind]
+    path = tmp_path / "g.tsv"
+    path.write_text(text, encoding="utf-8")
+    raised = _loaded(load_gold, path, (DOMAIN, TASK))
+    assert raised == _loaded(reference_load_gold, path, (DOMAIN, TASK))
+    assert raised[0] is error
