@@ -20,11 +20,10 @@ from .annotate import annotate_all
 from .corpus import CorpusFormatError, load_gold, load_utterances, stats
 from .interpret import TIE_BREAKS, UNRESOLVED_POLICIES, interpret_all
 from .normalize import TablesError, load_tables, normalize_all
-from .ontology import conflicting_declarations, merge, trigger_instance_overlap, validate
+from .ontology import merge, pair_findings, validate
 from .ontology_io import (
     OntologyFormatError,
     OntologyValidationError,
-    export_owl,
     load_ontology,
     parse_ontology_file,
 )
@@ -121,10 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_pair(args: argparse.Namespace):
-    """Load the ontology pair, unmerged, and refuse a concept, relation id or
-    surface that the two files declare in conflict."""
+    """Load the ontology pair, unmerged, and refuse it on the findings
+    `validate` lists for the pair as a whole."""
     ontologies = (load_ontology(args.domain), load_ontology(args.task))
-    if findings := conflicting_declarations(ontologies) + trigger_instance_overlap(ontologies):
+    if findings := pair_findings(ontologies):
         raise OntologyValidationError(findings)
     return ontologies
 
@@ -196,9 +195,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     pair = [parse_ontology_file(args.domain), parse_ontology_file(args.task)]
     findings = [(label, f) for label, ontology in zip(("domain", "task"), pair) for f in validate(ontology)]
-    # a finding of one file shows again in the merge; list it once
+    # a finding of one file may show again for the pair; list it once
     listed = {f for _, f in findings}
-    findings += [("merged", f) for f in validate(merge(*pair)) if f not in listed]
+    findings += [("merged", f) for f in pair_findings(pair) if f not in listed]
 
     document = [
         {"ontology": label, "code": f.code, "detail": f.detail} for label, f in findings
@@ -213,6 +212,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_export_owl(args: argparse.Namespace) -> int:
+    from .serialize import export_owl
+
     merged = merge(*_load_pair(args))
     _write_out(args.out, export_owl(merged))
     _info(f"exported {len(merged.concepts)} classes, {len(merged.relations)} object properties")

@@ -125,14 +125,6 @@ class Ontology(_Collections):
             index.setdefault(relation.id, relation)
         return index
 
-    # -- queries -----------------------------------------------------------
-
-    def relation(self, relation_id: str) -> Relation:
-        try:
-            return self._relation_by_id[relation_id]
-        except KeyError:
-            raise UnknownRelationError(relation_id) from None
-
 
 def lookup(
     surface: str, ontologies: Iterable[Ontology]
@@ -152,7 +144,7 @@ def lookup(
 
 def relation_target(relation_id: str, ontologies: Iterable[Ontology]) -> str:
     """The target of `relation_id` in the first of `ontologies` that declares
-    it: the answer `merge(*ontologies).relation(relation_id).target` gives.
+    it, as in the first record of that id in `merge(*ontologies).relations`.
     Raises UnknownRelationError when none declares it."""
     for ontology in ontologies:
         relation = ontology._relation_by_id.get(relation_id)
@@ -289,12 +281,13 @@ def trigger_instance_overlap(ontologies: Sequence[Ontology]) -> list[Finding]:
     ]
 
 
-def conflicting_declarations(ontologies: Sequence[Ontology]) -> list[Finding]:
-    """The findings of `validate(merge(*ontologies))` for a concept name
-    declared with two kinds or a relation id with two contents, from a merge
-    of the concepts and relations alone: no instance is read."""
-    declared = merge(*(Ontology(concepts=o.concepts, relations=o.relations) for o in ontologies))
-    return [f for f in validate(declared) if f.code in ("duplicate-concept", "duplicate-relation")]
+def pair_findings(ontologies: Sequence[Ontology]) -> list[Finding]:
+    """The one check of `ontologies` as a whole: `validate` of their merge
+    without instances, then `trigger_instance_overlap`. For valid files this
+    is `validate(merge(*ontologies))`; for any files, the two agree on every
+    finding that no single file has. No instance set is merged."""
+    declared = merge(*(o._replace(instances=()) for o in ontologies))
+    return validate(declared) + trigger_instance_overlap(ontologies)
 
 
 def _cycle_nodes(parents_of: dict[str, list[str]]) -> list[str]:

@@ -1,4 +1,5 @@
-"""Render annotated and interpreted utterances as XML or TSV.
+"""Render annotated and interpreted utterances as XML or TSV, and an
+ontology as OWL: the one module that writes XML.
 
 The XML form is a token listing:
 
@@ -23,6 +24,11 @@ list.
 The TSV forms are line-oriented with one token per line and `-` for absent
 fields; the interpreted variant appends resolution provenance columns
 (outcome, the resolving relation id and the marker's token index).
+
+OWL export is one-way. It emits one owl:Class per concept, one
+rdfs:subClassOf per taxonomy edge, one owl:ObjectProperty per relation with
+its rdfs:domain and rdfs:range, and instances as owl:NamedIndividual elements
+typed by their concepts.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from typing import Iterable
 
 from .annotate import AnnotatedUtterance, SEMANTIC_RELATION_LABEL, Status, TokenAnnotation, committed_label
 from .interpret import InterpretedUtterance
+from .ontology import Ontology
 
 ANNOTATED_TSV_HEADER = "# ontosem annotations v1: utterance_id\ttoken_index\tsurface\tstatus\tlabels\trelation_ids"
 INTERPRETED_TSV_HEADER = (
@@ -40,6 +47,10 @@ INTERPRETED_TSV_HEADER = (
 )
 
 _ABSENT = "-"
+
+_RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+_RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
+_OWL_NS = "http://www.w3.org/2002/07/owl#"
 
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
@@ -159,3 +170,53 @@ def interpreted_to_tsv(utterances: Iterable[InterpretedUtterance]) -> str:
             marker = resolution.relation_token_index
             lines.append(f"{utterance.id}\t{index}\t{middle}\t{_ABSENT if marker is None else marker}")
     return "\n".join(lines) + "\n"
+
+
+def export_owl(ontology: Ontology) -> str:
+    """Render a validated ontology as an OWL (RDF/XML subset) document.
+
+    Output is deterministic: elements are sorted by identifier. Only the
+    constructs the model uses are emitted; the document is well-formed XML
+    with the rdf/rdfs/owl namespaces declared on the single rdf:RDF root.
+    """
+
+    def element(tag: str, about: str, children: list[str]) -> list[str]:
+        opening = f"  <{tag} rdf:about={quoteattr(about)}"
+        if not children:
+            return [opening + "/>"]
+        return [opening + ">", *children, f"  </{tag}>"]
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        "<rdf:RDF",
+        f'    xmlns:rdf={quoteattr(_RDF_NS)}',
+        f'    xmlns:rdfs={quoteattr(_RDFS_NS)}',
+        f'    xmlns:owl={quoteattr(_OWL_NS)}>',
+    ]
+    parents: dict[str, list[str]] = {}
+    for edge in ontology.taxonomy:
+        parents.setdefault(edge.child, []).append(edge.parent)
+
+    for concept in ontology.concepts:
+        children: list[str] = []
+        for parent in sorted(parents.get(concept.name, [])):
+            children.append(f"    <rdfs:subClassOf rdf:resource={quoteattr(parent)}/>")
+        if concept.gloss is not None:
+            children.append(f"    <rdfs:label>{escape(concept.gloss)}</rdfs:label>")
+        lines.extend(element("owl:Class", concept.name, children))
+
+    for relation in ontology.relations:
+        children = [
+            f"    <rdfs:domain rdf:resource={quoteattr(relation.source)}/>",
+            f"    <rdfs:range rdf:resource={quoteattr(relation.target)}/>",
+        ]
+        lines.extend(element("owl:ObjectProperty", relation.id, children))
+
+    for instance in ontology.instances:
+        children = [
+            f"    <rdf:type rdf:resource={quoteattr(name)}/>" for name in sorted(instance.concepts)
+        ]
+        lines.extend(element("owl:NamedIndividual", instance.surface, children))
+
+    lines.append("</rdf:RDF>")
+    return _checked_xml("\n".join(lines) + "\n")

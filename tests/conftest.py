@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -43,6 +44,23 @@ def run_python(code: str, cwd=None) -> str:
                           cwd=cwd, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def write_ontology(ontology, path) -> None:
+    """Write `ontology` as a native ontology file. Every concept record names
+    its kind, so the document kind is required but never read."""
+    document = {
+        "format_version": 1,
+        "kind": "domain",
+        "concepts": [{"name": c.name, "kind": c.kind, "gloss": c.gloss} for c in ontology.concepts],
+        "taxonomy": [{"child": e.child, "parent": e.parent} for e in ontology.taxonomy],
+        "instances": [{"surface": i.surface, "concepts": sorted(i.concepts)} for i in ontology.instances],
+        "relations": [
+            {"id": r.id, "triggers": sorted(r.triggers), "source": r.source, "target": r.target}
+            for r in ontology.relations
+        ],
+    }
+    Path(path).write_text(json.dumps(document, ensure_ascii=False), encoding="utf-8")
 
 
 def surface_vocabulary(ontology):
@@ -91,7 +109,8 @@ def oracle_resolve(
         if j in consumed or not token.relation_ids:
             continue
         for relation_id in token.relation_ids:
-            target = ontology.relation(relation_id).target
+            # the first record of that id
+            target = next(r.target for r in ontology.relations if r.id == relation_id)
             if target not in candidates:
                 continue
             on_preferred_side = (j < index) == (tie_break == "left")

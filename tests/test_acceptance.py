@@ -16,6 +16,7 @@ from conftest import (
     enumerate_surface_tuples,
     oracle_interpret,
     surface_vocabulary,
+    write_ontology,
 )
 from ontosem import samples
 from ontosem.annotate import Status, annotate, annotate_all
@@ -24,7 +25,8 @@ from ontosem.evaluate import EvaluationCounts, metrics, report, report_to_docume
 from ontosem.interpret import RESOLVED, interpret, interpret_all
 from ontosem.normalize import RawUtterance, normalize, normalize_all
 from ontosem.ontology import Concept, Instance, Ontology, Relation, TaxonomyEdge, merge, validate
-from ontosem.ontology_io import export_owl, load_ontology, save_ontology
+from ontosem.ontology_io import load_ontology
+from ontosem.serialize import export_owl
 from ontosem.corpus import GoldToken, GoldUtterance
 from ontosem.annotate import SEMANTIC_RELATION_LABEL, TokenAnnotation
 from ontosem.interpret import Resolution, UNCHANGED, InterpretedUtterance
@@ -218,7 +220,7 @@ def test_property_round_trip(tmp_path):
         ontology = Ontology(concepts, edges, instances, relations)
         assert validate(ontology) == []
         path = tmp_path / f"case{case}.json"
-        save_ontology(ontology, path)
+        write_ontology(ontology, path)
         assert load_ontology(path) == ontology
 
 

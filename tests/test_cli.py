@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ontosem import cli, samples
+from ontosem import cli, ontology, samples
 from ontosem.cli import main
 from ontosem.normalize import RawUtterance, load_tables, normalize
 from ontosem.ontology import merge
@@ -182,9 +182,23 @@ def _redeclare_rel_class(doc):
     doc["relations"].append({"id": "rel_class", "triggers": ["drjp"], "source": "Ticket", "target": "Ticket_Class"})
 
 
+def _give_exact_day_a_second_parent(doc):
+    # the domain makes `Exact_Day` a `Departure_Hour`; the task makes it a `Train`
+    doc["concepts"].append({"name": "Exact_Day", "kind": "domain"})
+    doc["taxonomy"] = [{"child": "Exact_Day", "parent": "Train"}]
+
+
+def _close_a_cycle_through_exact_day(doc):
+    # the domain's edge `Exact_Day` < `Departure_Hour`, turned round
+    doc["concepts"] += [{"name": "Exact_Day", "kind": "domain"}, {"name": "Departure_Hour", "kind": "domain"}]
+    doc["taxonomy"] = [{"child": "Departure_Hour", "parent": "Exact_Day"}]
+
+
 CONFLICTING_TASKS = {
     "concept-with-two-kinds": (_redeclare_arrival_city, "duplicate-concept: concept name 'Arrival_City' declared more than once"),
     "relation-with-two-contents": (_redeclare_rel_class, "duplicate-relation: relation id 'rel_class' declared more than once"),
+    "concept-with-two-parents": (_give_exact_day_a_second_parent, "multiple-parents: concept 'Exact_Day' has parents ['Departure_Hour', 'Train']"),
+    "taxonomy-cycle": (_close_a_cycle_through_exact_day, "taxonomy-cycle: concept 'Departure_Hour' is its own ancestor"),
 }
 
 
@@ -206,7 +220,7 @@ def test_pair_commands_reject_a_declaration_the_files_make_twice(out, tmp_path, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["validate", "export-owl"])
+@pytest.mark.parametrize("command", ["export-owl"])
 def test_merged_document_commands_merge_the_pair(out, monkeypatch, command):
     merged = []
 
@@ -217,6 +231,22 @@ def test_merged_document_commands_merge_the_pair(out, monkeypatch, command):
     monkeypatch.setattr(cli, "merge", spy)
     assert run([command, "--out", str(out)]) == 0
     assert merged == [2]
+
+
+def test_validate_merges_no_instance(out, monkeypatch):
+    # the pair is checked as a whole from its declarations and edges; the
+    # instance sets are read by the overlap check, never merged
+    merged = []
+
+    def spy(*ontologies):
+        merged.append([len(o.instances) for o in ontologies])
+        return merge(*ontologies)
+
+    monkeypatch.setattr(ontology, "merge", spy)
+    monkeypatch.setattr(cli, "merge", spy)
+    assert run(["validate", "--out", str(out)]) == 0
+    assert merged == [[0, 0]]
+    assert json.loads(out.read_text(encoding="utf-8")) == []
 
 
 def test_eval_from_counts_prints_reference_table(out, capsys):

@@ -1,9 +1,11 @@
+import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import surface_vocabulary
+from conftest import surface_vocabulary, write_ontology
+from ontosem.cli import main
 from ontosem.ontology import (
     EMPTY,
     KINDS,
@@ -13,9 +15,9 @@ from ontosem.ontology import (
     Relation,
     TaxonomyEdge,
     UnknownRelationError,
-    conflicting_declarations,
     lookup,
     merge,
+    pair_findings,
     relation_target,
     trigger_instance_overlap,
     validate,
@@ -99,14 +101,13 @@ def test_lookup_is_pure(merged):
 
 
 def test_relation_endpoints(merged):
-    assert merged.relation("rel_to_arrival").target == "Arrival_City"
-    assert merged.relation("rel_from_departure").source == "Train"
-    assert merged.relation("rel_class").target == "Ticket_Class"
+    by_id = {r.id: r for r in merged.relations}
+    assert by_id["rel_to_arrival"].target == relation_target("rel_to_arrival", [merged]) == "Arrival_City"
+    assert by_id["rel_from_departure"].source == "Train"
+    assert by_id["rel_class"].target == relation_target("rel_class", [merged]) == "Ticket_Class"
 
 
 def test_relation_unknown_id(merged):
-    with pytest.raises(UnknownRelationError):
-        merged.relation("rel_nonexistent")
     with pytest.raises(UnknownRelationError):
         relation_target("rel_nonexistent", [merged])
 
@@ -344,13 +345,13 @@ def generated_ontology(own):
 def test_property_pair_answers_equal_the_merged_ones(pair, surface, relation_id):
     merged = merge(*pair)
     assert lookup(surface, pair) == lookup(surface, [merged])
-    try:
-        target = merged.relation(relation_id).target
-    except UnknownRelationError:
+    # the first record of the id in the merge
+    targets = [r.target for r in merged.relations if r.id == relation_id]
+    if targets:
+        assert relation_target(relation_id, pair) == targets[0]
+    else:
         with pytest.raises(UnknownRelationError):
             relation_target(relation_id, pair)
-    else:
-        assert relation_target(relation_id, pair) == target
 
 
 def test_pair_overlap_names_a_surface_each_ontology_holds_once(domain, task):
@@ -374,25 +375,81 @@ def test_property_pair_overlap_equals_the_merged_one(pair):
     assert trigger_instance_overlap(pair) == merged
 
 
-def redeclared(ontology, declarations):
-    return ontology._replace(concepts=tuple(Concept(n, *d) for n, d in zip(CONCEPT_NAMES, declarations)))
+def drawn_ontology(own):
+    """`generated_ontology(own)` with drawn concept glosses, kinds (or all
+    "domain") and taxonomy edges, so that a pair may conflict in each; half
+    the time with up to one more record per collection, which may break any
+    rule of validate in the file itself."""
+    base = generated_ontology(own)
+    glosses = st.sampled_from((None, "g1", "g2"))
+    kinds = st.sampled_from(KINDS)
+    # each concept takes at most one parent from those before it, in name
+    # order for "first" and in reverse for the other: each file is a forest,
+    # and the pair may give a concept two parents or close a cycle
+    order = CONCEPT_NAMES if own == "first" else CONCEPT_NAMES[::-1]
+    parents = [st.sampled_from(order[:i]) for i in range(1, len(order))]
+    names = st.sampled_from(CONCEPT_NAMES + ("D", "not a name"))
+    extra_concepts = st.lists(st.builds(Concept, names, st.sampled_from(KINDS + ("neither",)), glosses), max_size=1)
+    extra_edges = st.lists(st.builds(TaxonomyEdge, names, names), max_size=1)
+    extra_instances = st.lists(
+        st.builds(Instance, st.sampled_from(("", "shared", own, "marker")), st.frozensets(names, max_size=2)),
+        max_size=1,
+    )
+    extra_relations = st.lists(
+        st.builds(
+            Relation,
+            st.sampled_from(("r_both", f"r_{own}", "not an id")),
+            st.frozensets(st.sampled_from(("", "shared", "marker")), max_size=2),
+            names,
+            names,
+        ),
+        max_size=1,
+    )
+
+    @st.composite
+    def drawn(draw):
+        ontology = draw(base)
+        mixed = draw(st.booleans())
+        concepts = [Concept(name, draw(kinds) if mixed else KINDS[0], draw(glosses)) for name in CONCEPT_NAMES]
+        edges = [TaxonomyEdge(child, draw(parent)) for child, parent in zip(order[1:], parents) if draw(st.booleans())]
+        instances, relations = list(ontology.instances), list(ontology.relations)
+        if draw(st.booleans()):
+            concepts += draw(extra_concepts)
+            edges += draw(extra_edges)
+            instances += draw(extra_instances)
+            relations += draw(extra_relations)
+        return Ontology(concepts, edges, instances, relations)
+
+    return drawn()
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    pair=st.tuples(generated_ontology("first"), generated_ontology("second")),
-    declarations=st.lists(
-        st.tuples(st.sampled_from(KINDS), st.sampled_from((None, "g1", "g2"))),
-        min_size=2 * len(CONCEPT_NAMES), max_size=2 * len(CONCEPT_NAMES),
-    ),
-)
-def test_property_pair_conflicts_equal_the_merged_duplicates(pair, declarations):
-    """Concept kinds and glosses differ across the pair; `r_both` may be
-    declared twice, alike or not."""
-    half = len(CONCEPT_NAMES)
-    pair = (redeclared(pair[0], declarations[:half]), redeclared(pair[1], declarations[half:]))
-    merged = [f for f in validate(merge(*pair)) if f.code in ("duplicate-concept", "duplicate-relation")]
-    assert conflicting_declarations(pair) == merged
+@settings(max_examples=500, deadline=None)
+@given(pair=st.tuples(drawn_ontology("first"), drawn_ontology("second")))
+def test_property_pair_conflicts_equal_the_merged_duplicates(pair):
+    """For valid files, `pair_findings` is `validate(merge(*pair))`; for any
+    files, the two list the same findings that no file has alone, in order."""
+    merged = validate(merge(*pair))
+    own = {f for ontology in pair for f in validate(ontology)}
+    if not own:
+        assert pair_findings(pair) == merged
+    assert [f for f in pair_findings(pair) if f not in own] == [f for f in merged if f not in own]
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=st.tuples(drawn_ontology("first"), drawn_ontology("second")))
+def test_property_validate_lists_the_findings_of_the_merged_pair(tmp_path_factory, pair):
+    directory = tmp_path_factory.mktemp("pair")
+    domain, task, out = directory / "domain.json", directory / "task.json", directory / "out.json"
+    write_ontology(pair[0], domain)
+    write_ontology(pair[1], task)
+    code = main(["validate", "--domain", str(domain), "--task", str(task), "--out", str(out)])
+    # the document as `validate` wrote it when it merged the whole pair
+    findings = [(label, f) for label, ontology in zip(("domain", "task"), pair) for f in validate(ontology)]
+    listed = {f for _, f in findings}
+    findings += [("merged", f) for f in validate(merge(*pair)) if f not in listed]
+    document = [{"ontology": label, "code": f.code, "detail": f.detail} for label, f in findings]
+    assert json.loads(out.read_text(encoding="utf-8")) == document
+    assert code == (2 if findings else 0)
 
 
 def test_only_the_ontology_module_reads_its_indexes():

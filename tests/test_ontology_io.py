@@ -5,17 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_ontology
 from ontosem import samples
 from ontosem.ontology import Concept, Instance, Ontology, Relation, TaxonomyEdge, merge, validate
-from ontosem.ontology_io import (
-    OntologyFormatError,
-    OntologyValidationError,
-    export_owl,
-    load_ontology,
-    ontology_to_document,
-    save_ontology,
-)
-from ontosem.serialize import XMLCharacterError
+from ontosem.ontology_io import OntologyFormatError, OntologyValidationError, load_ontology
+from ontosem.serialize import XMLCharacterError, export_owl
 
 OWL_NS = "{http://www.w3.org/2002/07/owl#}"
 RDFS_NS = "{http://www.w3.org/2000/01/rdf-schema#}"
@@ -180,7 +174,7 @@ def test_concept_records_inherit_document_kind(tmp_path):
     assert {c.name: c for c in load_ontology(path).concepts}["A"].kind == "task"
 
 
-# -- saving / round trip ---------------------------------------------------------
+# -- round trip ------------------------------------------------------------------
 
 def test_save_then_load_sample_round_trips(tmp_path):
     for name, loader in (
@@ -189,37 +183,17 @@ def test_save_then_load_sample_round_trips(tmp_path):
     ):
         original = loader()
         path = tmp_path / name
-        save_ontology(original, path)
+        write_ontology(original, path)
         assert load_ontology(path) == original
-
-
-def test_save_is_deterministic(tmp_path):
-    ontology = samples.load_sample_domain()
-    first, second = tmp_path / "a.json", tmp_path / "b.json"
-    save_ontology(ontology, first)
-    save_ontology(ontology, second)
-    assert first.read_bytes() == second.read_bytes()
-
-
-def test_save_to_unwritable_path(tmp_path):
-    ontology = samples.load_sample_domain()
-    with pytest.raises(OSError):
-        save_ontology(ontology, tmp_path / "no_such_dir" / "x.json")
 
 
 def test_round_trip_with_zero_instances(tmp_path):
     ontology = Ontology(concepts=(Concept("Solo", "domain"),))
     path = tmp_path / "solo.json"
-    save_ontology(ontology, path)
+    write_ontology(ontology, path)
     loaded = load_ontology(path)
     assert loaded == ontology
     assert loaded.instances == ()
-
-
-def test_document_kind_defaults_to_majority():
-    task = samples.load_sample_task()
-    assert ontology_to_document(task)["kind"] == "task"
-    assert ontology_to_document(Ontology())["kind"] == "domain"
 
 
 # random valid ontologies: names drawn from a small pool, taxonomy edges only
@@ -272,7 +246,7 @@ def ontologies(draw):
 def test_round_trip_random_ontologies(tmp_path_factory, ontology):
     assert validate(ontology) == []
     path = tmp_path_factory.mktemp("roundtrip") / "o.json"
-    save_ontology(ontology, path)
+    write_ontology(ontology, path)
     assert load_ontology(path) == ontology
 
 

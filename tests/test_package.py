@@ -4,7 +4,7 @@ import ast
 
 import pytest
 
-from conftest import run_python
+from conftest import SRC, run_python
 from ontosem import samples
 
 # what `import ontosem.cli` loads: every module but `__main__`, `evaluate`,
@@ -76,3 +76,17 @@ print(code, sorted(m for m in sys.modules if m.startswith("ontosem")))
 """
     assert run_python(code) == f"0 {modules}\n"
     assert (tmp_path / "out").stat().st_size > 0
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name with a leading underscore is its module's own; a module that
+    # needs another's should find it public, or live next to it
+    imported = [
+        f"{path.name}: {alias.name}"
+        for path in sorted((SRC / "ontosem").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("ontosem"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert imported == []
