@@ -1,5 +1,5 @@
-"""How every input file is read. Each step raises the calling loader's own
-`error` class with a one-line message that starts with the file at fault."""
+"""How every input file is read and refused: each step raises the calling
+loader's own `InputError` class with a one-line message naming the file first."""
 
 from __future__ import annotations
 
@@ -9,12 +9,21 @@ from pathlib import Path
 
 FORMAT_VERSION = 1
 
+# the CLI's exit codes
+EXIT_OK, EXIT_INPUT, EXIT_VALIDATION, EXIT_ALIGNMENT = 0, 1, 2, 3
+
 # a JSON escape of a UTF-16 surrogate; only a text holding one can decode to
 # a string that is not valid Unicode (a lone surrogate cannot be written out)
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F][0-9a-fA-F]{2}")
 
 
-def read(path: Path, error: type[Exception], parse=json.loads):
+class InputError(ValueError):
+    """An input refused with a one-line message; the CLI exits `exit_code`."""
+
+    exit_code = EXIT_INPUT
+
+
+def read(path: Path, error: type[InputError], parse=json.loads):
     """`parse` (JSON by default) applied to the text of UTF-8 file `path`."""
     try:
         text = path.read_text(encoding="utf-8")
@@ -34,7 +43,7 @@ def read(path: Path, error: type[Exception], parse=json.loads):
         raise error(f"{path}: JSON nested too deeply") from None
 
 
-def reader(doc: object, source: str, error: type[Exception]):
+def reader(doc: object, source: str, error: type[InputError]):
     """Check the header of `doc`; return the readers of its sections and fields."""
     if not isinstance(doc, dict):
         raise error(f"{source}: top level must be an object")

@@ -5,7 +5,8 @@ Machine-readable output goes to the path given with --out ('-' for stdout);
 human-readable diagnostics go to stderr only, so outputs stay pipeable.
 
 Exit codes: 0 success, 1 input or parse error, 2 validation failure,
-3 predicted/gold alignment error.
+3 predicted/gold alignment error. A refused input raises an `InputError`,
+which carries its exit code; `main` prints it as one `ontosem: ` line.
 """
 
 from __future__ import annotations
@@ -16,22 +17,13 @@ import sys
 from pathlib import Path
 
 from . import samples
+from ._input import EXIT_ALIGNMENT, EXIT_INPUT, EXIT_OK, EXIT_VALIDATION, InputError
 from .annotate import annotate_all
-from .corpus import CorpusFormatError, load_gold, load_utterances, stats
+from .corpus import load_gold, load_utterances, stats
 from .interpret import TIE_BREAKS, UNRESOLVED_POLICIES, interpret_all
-from .normalize import TablesError, load_tables, normalize_all
+from .normalize import load_tables, normalize_all
 from .ontology import merge, pair_findings, validate
-from .ontology_io import (
-    OntologyFormatError,
-    OntologyValidationError,
-    load_ontology,
-    parse_ontology_file,
-)
-
-EXIT_OK = 0
-EXIT_INPUT = 1
-EXIT_VALIDATION = 2
-EXIT_ALIGNMENT = 3
+from .ontology_io import OntologyValidationError, load_ontology, parse_ontology_file
 
 
 def _write_out(target: str, text: str) -> None:
@@ -256,23 +248,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         _info(f"ontosem: {err.filename}: {err.strerror}" if err.filename else f"ontosem: {err}")
         return EXIT_INPUT
-    except (OntologyFormatError, CorpusFormatError) as err:
+    except InputError as err:
         _info(f"ontosem: {err}")
-        return EXIT_INPUT
-    except TablesError as err:
-        _info(f"ontosem: {err}")
-        return EXIT_VALIDATION if err.findings else EXIT_INPUT
-    except OntologyValidationError as err:
-        _info(f"ontosem: {err}")
-        return EXIT_VALIDATION
-    except ValueError as err:
-        # only the commands that write XML load the module that raises this
-        from .serialize import XMLCharacterError
-
-        if not isinstance(err, XMLCharacterError):
-            raise
-        _info(f"ontosem: {err}")
-        return EXIT_INPUT
+        return err.exit_code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
-from ._input import read
+from ._input import InputError, read
 from .annotate import SEMANTIC_RELATION_LABEL
 from .normalize import RawUtterance
 from .ontology import Ontology
@@ -25,7 +25,7 @@ from .ontology import Ontology
 OOV_LABEL = "OOV"
 
 
-class CorpusFormatError(ValueError):
+class CorpusFormatError(InputError):
     """Malformed corpus or gold file; message carries path and line number."""
 
 

@@ -40,7 +40,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from ._input import read, reader
+from ._input import EXIT_VALIDATION, InputError, read, reader
 from .buckwalter import transliterate
 from .ontology import Ontology, lookup
 
@@ -52,13 +52,14 @@ PUNCTUATION = frozenset("؟?!.,")
 _TOKEN = re.compile(f"[^\\s{re.escape(''.join(sorted(PUNCTUATION)))}]+")
 
 
-class TablesError(ValueError):
-    """Malformed or invariant-violating normalization tables file."""
+class TablesError(InputError):
+    """Malformed (exit 1) or invariant-violating (exit 2) tables file."""
 
     def __init__(self, message: str, findings: list[str] | None = None):
         self.findings = findings or []
         if self.findings:
             message = message + ": " + "; ".join(self.findings)
+            self.exit_code = EXIT_VALIDATION
         super().__init__(message)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DOMAIN = "domain"
 TASK = "task"
@@ -291,29 +291,31 @@ def pair_findings(ontologies: Sequence[Ontology]) -> list[Finding]:
 
 
 def _cycle_nodes(parents_of: dict[str, list[str]]) -> list[str]:
-    """Nodes on a child->parent cycle, via iterative three-color DFS."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[str, int] = {}
-    on_cycle: set[str] = set()
-
-    for start in parents_of:
-        if color.get(start, WHITE) != WHITE:
-            continue
-        stack: list[tuple[str, Iterable[str]]] = [(start, iter(parents_of.get(start, ())))]
-        color[start] = GRAY
-        while stack:
-            node, parents = stack[-1]
-            advanced = False
-            for parent in parents:
-                state = color.get(parent, WHITE)
-                if state == GRAY:
-                    on_cycle.add(parent)
-                elif state == WHITE:
-                    color[parent] = GRAY
-                    stack.append((parent, iter(parents_of.get(parent, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
+    """The nodes that are their own ancestors, sorted: those in a strongly
+    connected component of two or more nodes or with a self-loop. Iterative
+    Tarjan, linear in the edges, from a root (None) whose parents are all the
+    nodes; `low` is the least `component` position a node reaches, inf once done."""
+    low: dict[str | None, float] = {None: 0}
+    component: list[str | None] = [None]
+    work: list[tuple[str | None, Iterator[str], int]] = [(None, iter(parents_of), 0)]
+    on_cycle: list[str] = []
+    while work:
+        node, parents, position = work[-1]
+        for parent in parents:
+            if parent not in low:
+                low[parent] = len(component)
+                work.append((parent, iter(parents_of.get(parent, ())), len(component)))
+                component.append(parent)
+                break
+            low[node] = min(low[node], low[parent])
+        else:
+            work.pop()
+            if low[node] == position:
+                members = component[position:]
+                del component[position:]
+                if len(members) > 1 or node in parents_of.get(node, ()):
+                    on_cycle += members
+                low.update(dict.fromkeys(members, float("inf")))
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[node])
     return sorted(on_cycle)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ._input import read, reader
+from ._input import EXIT_VALIDATION, InputError, read, reader
 from .ontology import (
     Concept,
     Finding,
@@ -34,12 +34,14 @@ from .ontology import (
 )
 
 
-class OntologyFormatError(ValueError):
+class OntologyFormatError(InputError):
     """Malformed ontology document (bad JSON, schema violation, bad version)."""
 
 
-class OntologyValidationError(ValueError):
+class OntologyValidationError(InputError):
     """Structurally parseable ontology that violates model invariants."""
+
+    exit_code = EXIT_VALIDATION
 
     def __init__(self, findings: list[Finding]):
         self.findings = findings

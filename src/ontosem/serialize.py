@@ -29,6 +29,10 @@ OWL export is one-way. It emits one owl:Class per concept, one
 rdfs:subClassOf per taxonomy edge, one owl:ObjectProperty per relation with
 its rdfs:domain and rdfs:range, and instances as owl:NamedIndividual elements
 typed by their concepts.
+
+The XML writers check each piece as they build it (an utterance line, a
+token block, an OWL element): the first to hold a character XML 1.0 forbids
+raises `XMLCharacterError`, an `InputError` (exit 1) naming its element.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
+from ._input import InputError
 from .annotate import AnnotatedUtterance, SEMANTIC_RELATION_LABEL, Status, TokenAnnotation, committed_label
 from .interpret import InterpretedUtterance
 from .ontology import Ontology
@@ -55,26 +60,15 @@ _OWL_NS = "http://www.w3.org/2002/07/owl#"
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-class XMLCharacterError(ValueError):
+class XMLCharacterError(InputError):
     """A text holds a character that XML 1.0 forbids, escaped or not."""
 
 
-# the writers open each top-level element (an utterance, an OWL class,
-# property or individual) on a line of its own, indented by two spaces and
-# naming it in its first attribute
-_TOP_ELEMENT = re.compile(r"""  <([\w:]+) [\w:]+=("[^"]*"|'[^']*')""")
-
-
-def _checked_xml(text: str, utterance_id: str | None = None) -> str:
+def _checked_xml(text: str, element: str, name: str) -> str:
     """`text`, refused if it holds a character XML 1.0 forbids, naming the
-    utterance it belongs to, or in a whole document the enclosing element."""
+    `element` called `name` that it belongs to."""
     if bad := _NOT_XML.search(text):
-        where = "" if utterance_id is None else f" for utterance {utterance_id!r}"
-        if utterance_id is None and (element := _TOP_ELEMENT.match(text, text.rfind("\n  <", 0, bad.start()) + 1)):
-            from html import unescape
-
-            where = f" for {element[1]} {unescape(element[2][1:-1])!r}"
-        raise XMLCharacterError(f"cannot write XML{where}: U+{ord(bad[0]):04X} is not allowed in XML 1.0")
+        raise XMLCharacterError(f"cannot write XML for {element} {name!r}: U+{ord(bad[0]):04X} is not allowed in XML 1.0")
     return text
 
 
@@ -112,11 +106,11 @@ def annotated_to_xml(utterances: Iterable[AnnotatedUtterance | InterpretedUttera
     # sight, so pieces are checked in document order
     blocks: dict[TokenAnnotation, str] = {}
     for utterance in utterances:
-        lines.append(_checked_xml(f"  <utterance id={quoteattr(utterance.id)}>", utterance.id))
+        lines.append(_checked_xml(f"  <utterance id={quoteattr(utterance.id)}>", "utterance", utterance.id))
         for token in utterance.tokens:
             block = blocks.get(token)
             if block is None:
-                block = blocks[token] = _checked_xml(_token_xml(token), utterance.id)
+                block = blocks[token] = _checked_xml(_token_xml(token), "utterance", utterance.id)
             lines.append(block)
         lines.append("  </utterance>")
     lines.append("</utterances>")
@@ -180,11 +174,10 @@ def export_owl(ontology: Ontology) -> str:
     with the rdf/rdfs/owl namespaces declared on the single rdf:RDF root.
     """
 
-    def element(tag: str, about: str, children: list[str]) -> list[str]:
+    def element(tag: str, about: str, children: list[str]) -> str:
         opening = f"  <{tag} rdf:about={quoteattr(about)}"
-        if not children:
-            return [opening + "/>"]
-        return [opening + ">", *children, f"  </{tag}>"]
+        text = "\n".join([opening + ">", *children, f"  </{tag}>"]) if children else opening + "/>"
+        return _checked_xml(text, tag, about)
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -203,20 +196,20 @@ def export_owl(ontology: Ontology) -> str:
             children.append(f"    <rdfs:subClassOf rdf:resource={quoteattr(parent)}/>")
         if concept.gloss is not None:
             children.append(f"    <rdfs:label>{escape(concept.gloss)}</rdfs:label>")
-        lines.extend(element("owl:Class", concept.name, children))
+        lines.append(element("owl:Class", concept.name, children))
 
     for relation in ontology.relations:
         children = [
             f"    <rdfs:domain rdf:resource={quoteattr(relation.source)}/>",
             f"    <rdfs:range rdf:resource={quoteattr(relation.target)}/>",
         ]
-        lines.extend(element("owl:ObjectProperty", relation.id, children))
+        lines.append(element("owl:ObjectProperty", relation.id, children))
 
     for instance in ontology.instances:
         children = [
             f"    <rdf:type rdf:resource={quoteattr(name)}/>" for name in sorted(instance.concepts)
         ]
-        lines.extend(element("owl:NamedIndividual", instance.surface, children))
+        lines.append(element("owl:NamedIndividual", instance.surface, children))
 
     lines.append("</rdf:RDF>")
-    return _checked_xml("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

@@ -4,9 +4,13 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from ontosem import cli, ontology, samples
+from ontosem._input import InputError
 from ontosem.cli import main
-from ontosem.normalize import RawUtterance, load_tables, normalize
-from ontosem.ontology import merge
+from ontosem.corpus import CorpusFormatError, DuplicateUtteranceIdError, UnknownGoldLabelError
+from ontosem.normalize import RawUtterance, TablesError, load_tables, normalize
+from ontosem.ontology import Finding, merge
+from ontosem.ontology_io import OntologyFormatError, OntologyValidationError
+from ontosem.serialize import XMLCharacterError
 
 OWL_NS = "{http://www.w3.org/2002/07/owl#}"
 
@@ -194,18 +198,23 @@ def _close_a_cycle_through_exact_day(doc):
     doc["taxonomy"] = [{"child": "Departure_Hour", "parent": "Exact_Day"}]
 
 
+# each conflict with the findings `validate` lists for it under `merged`
 CONFLICTING_TASKS = {
-    "concept-with-two-kinds": (_redeclare_arrival_city, "duplicate-concept: concept name 'Arrival_City' declared more than once"),
-    "relation-with-two-contents": (_redeclare_rel_class, "duplicate-relation: relation id 'rel_class' declared more than once"),
-    "concept-with-two-parents": (_give_exact_day_a_second_parent, "multiple-parents: concept 'Exact_Day' has parents ['Departure_Hour', 'Train']"),
-    "taxonomy-cycle": (_close_a_cycle_through_exact_day, "taxonomy-cycle: concept 'Departure_Hour' is its own ancestor"),
+    "concept-with-two-kinds": (_redeclare_arrival_city, ["duplicate-concept: concept name 'Arrival_City' declared more than once"]),
+    "relation-with-two-contents": (_redeclare_rel_class, ["duplicate-relation: relation id 'rel_class' declared more than once"]),
+    "concept-with-two-parents": (_give_exact_day_a_second_parent, ["multiple-parents: concept 'Exact_Day' has parents ['Departure_Hour', 'Train']"]),
+    # both concepts on the cycle are their own ancestors
+    "taxonomy-cycle": (_close_a_cycle_through_exact_day, [
+        "taxonomy-cycle: concept 'Departure_Hour' is its own ancestor",
+        "taxonomy-cycle: concept 'Exact_Day' is its own ancestor",
+    ]),
 }
 
 
 @pytest.mark.parametrize("command", ["eval", "export-owl"])
 @pytest.mark.parametrize("conflict", CONFLICTING_TASKS)
 def test_pair_commands_reject_a_declaration_the_files_make_twice(out, tmp_path, capsys, command, conflict):
-    mutate, detail = CONFLICTING_TASKS[conflict]
+    mutate, details = CONFLICTING_TASKS[conflict]
     doc = json.loads(samples.task_ontology_path().read_text(encoding="utf-8"))
     mutate(doc)
     task = tmp_path / "task.json"
@@ -213,10 +222,10 @@ def test_pair_commands_reject_a_declaration_the_files_make_twice(out, tmp_path, 
     argv = PIPELINE_COMMANDS.get(command, [command])
 
     assert run(["validate", "--task", str(task), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"merged: {detail}\n"
+    assert capsys.readouterr().err == "".join(f"merged: {detail}\n" for detail in details)
     out.unlink()
     assert run([*argv, "--task", str(task), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"ontosem: ontology failed validation: {detail}\n"
+    assert capsys.readouterr().err == f"ontosem: ontology failed validation: {'; '.join(details)}\n"
     assert not out.exists()
 
 
@@ -560,3 +569,39 @@ def test_stdout_default_target(capsys):
     assert run(["stats", "--in", str(samples.corpus_path())]) == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out)["utterance_count"] == 25
+
+
+# every refusal is an `InputError` that carries the exit code `main` returns
+REFUSALS = {
+    "ontology-format": (OntologyFormatError("o.json: top level must be an object"), 1),
+    "corpus-format": (CorpusFormatError("c.tsv:1: no tab"), 1),
+    "duplicate-utterance-id": (DuplicateUtteranceIdError("c.tsv:2: duplicate id 'a'"), 1),
+    "unknown-gold-label": (UnknownGoldLabelError("g.tsv:3: unknown label 'X'"), 1),
+    "xml-character": (XMLCharacterError("cannot write XML for utterance 'a': U+0001 is not allowed in XML 1.0"), 1),
+    "tables-format": (TablesError("t.json: top level must be an object"), 1),
+    "tables-findings": (TablesError("t.json: tables are not a fixed point", ["variant 'a' is a base"]), 2),
+    "ontology-validation": (OntologyValidationError([Finding("taxonomy-cycle", "concept 'A' is its own ancestor")]), 2),
+}
+
+
+@pytest.mark.parametrize("refusal", REFUSALS)
+def test_each_refusal_is_an_input_error_with_its_exit_code(monkeypatch, capsys, refusal):
+    error, code = REFUSALS[refusal]
+    assert isinstance(error, InputError)
+    assert error.exit_code == code
+
+    def handler(args):
+        raise error
+
+    monkeypatch.setitem(cli._HANDLERS, "stats", handler)
+    assert run(["stats", "--in", "-"]) == code
+    assert capsys.readouterr() == ("", f"ontosem: {error}\n")
+
+
+def test_a_value_error_that_is_no_refusal_escapes_main(monkeypatch):
+    def handler(args):
+        raise ValueError("a fault of the program")
+
+    monkeypatch.setitem(cli._HANDLERS, "stats", handler)
+    with pytest.raises(ValueError, match="a fault of the program"):
+        run(["stats", "--in", "-"])

@@ -4,9 +4,13 @@ Each of --domain, --task, --tables, --in and --gold is the bundled file, random
 bytes, a random JSON value, or the bundled file with one field replaced by a
 random JSON value (a JSON document) or random text (a TSV file). Whatever the
 files hold, `cli.main` must return a documented exit code and let no
-exception escape, and any XML it writes must be well-formed.
+exception escape, and any XML it writes must be well-formed. A refusal (any
+non-zero exit but `validate`'s findings, exit 2) prints one stderr line that
+starts with `ontosem: ` and writes no --out file.
 """
 
+import contextlib
+import io
 import json
 import xml.etree.ElementTree as ET
 
@@ -91,7 +95,13 @@ def test_cli_survives_junk_inputs(tmp_path_factory, command_line):
         path = directory / option.lstrip("-")
         path.write_bytes(data)
         argv += [option, str(path)]
-    code = main(argv)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(argv)
     assert code in {0, 1, 2, 3}
+    if code != 0 and (command, code) != ("validate", 2):
+        message = stderr.getvalue()
+        assert message.startswith("ontosem: ") and message.count("\n") == 1 and message.endswith("\n")
+        assert not (directory / "out").exists()
     if code == 0 and command in ("interpret", "export-owl"):
         ET.fromstring((directory / "out").read_bytes())

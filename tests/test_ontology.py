@@ -216,6 +216,59 @@ def test_taxonomy_two_node_cycle():
     assert "taxonomy-cycle" in _codes(validate(ontology))
 
 
+def _cycle_finding_names(edges):
+    ontology = Ontology(
+        concepts=tuple(Concept(name, "domain") for name in sorted({n for edge in edges for n in edge})),
+        taxonomy=tuple(TaxonomyEdge(child, parent) for child, parent in edges),
+    )
+    prefix = "concept '"
+    return [
+        f.detail[len(prefix):f.detail.index("' is its own ancestor")]
+        for f in validate(ontology)
+        if f.code == "taxonomy-cycle"
+    ]
+
+
+def reference_own_ancestors(edges):
+    """Each concept that reaches itself through parents, found by walking
+    its ancestors: the brute-force reading of `taxonomy-cycle`."""
+    parents_of = {}
+    for child, parent in edges:
+        parents_of.setdefault(child, []).append(parent)
+    found = []
+    for start in parents_of:
+        seen, todo = set(), list(parents_of[start])
+        while todo:
+            node = todo.pop()
+            if node not in seen:
+                seen.add(node)
+                todo += parents_of.get(node, [])
+        if start in seen:
+            found.append(start)
+    return sorted(found)
+
+
+def test_every_concept_on_a_cycle_is_named():
+    # the detection point of a depth-first search is not the whole cycle
+    assert _cycle_finding_names([("a", "b"), ("b", "c"), ("c", "a")]) == ["a", "b", "c"]
+    assert _cycle_finding_names([("r", "a"), ("r", "w"), ("a", "r"), ("w", "a")]) == ["a", "r", "w"]
+    assert _cycle_finding_names([("a", "a"), ("b", "a"), ("a", "c")]) == ["a"]
+
+
+def test_a_long_taxonomy_cycle_is_found_without_recursion():
+    names = [f"C{i}" for i in range(10_000)]
+    edges = list(zip(names, names[1:]))
+    assert _cycle_finding_names(edges) == []
+    assert _cycle_finding_names(edges + [(names[-1], names[0])]) == sorted(names)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from("ABCDEF"), st.sampled_from("ABCDEF")), max_size=14))
+def test_cycle_findings_name_each_concept_that_reaches_itself(edges):
+    # concepts may have several parents, so cycles may share concepts
+    assert _cycle_finding_names(edges) == reference_own_ancestors(edges)
+
+
 def test_duplicate_surface_claim():
     ontology = Ontology(
         concepts=(Concept("A", "domain"), Concept("B", "domain")),

@@ -3,7 +3,9 @@ token: `annotate_all` annotates each distinct surface once, the XML writers
 render and check each distinct token once, the interpreted-TSV writer and
 `report` join and score each distinct reading once. The references below do
 it once per token, and `load_gold`'s reference is its earlier per-line loop;
-on any input both must give the same result or raise the same error."""
+on any input both must give the same result or raise the same error. The XML
+writers and `export_owl` check each piece as they build it; their reference
+checks the whole document."""
 
 from __future__ import annotations
 
@@ -12,12 +14,13 @@ import re
 from collections import Counter, defaultdict
 from html import unescape
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from conftest import make_normalized
-from ontosem import annotate as annotate_module
+from ontosem import annotate as annotate_module, serialize
 from ontosem._input import read
 from ontosem.annotate import (
     SEMANTIC_RELATION_LABEL,
@@ -39,12 +42,13 @@ from ontosem.corpus import (
 )
 from ontosem.evaluate import AlignmentError, EvaluationCounts, EvaluationReport, metrics, report
 from ontosem.interpret import RESOLVED, TIE_BREAKS, UNCHANGED, UNRESOLVED, UNRESOLVED_POLICIES, interpret
-from ontosem.ontology import EMPTY, Concept, Instance, Ontology, Relation
+from ontosem.ontology import EMPTY, Concept, Instance, Ontology, Relation, TaxonomyEdge
 from ontosem.serialize import (
     INTERPRETED_TSV_HEADER,
     XMLCharacterError,
     annotated_to_xml,
     escape,
+    export_owl,
     interpreted_to_tsv,
     interpreted_to_xml,
     quoteattr,
@@ -448,6 +452,44 @@ def xml_corpora(draw):
 @given(xml_corpora())
 def test_the_xml_writers_refuse_what_the_whole_document_check_refuses(utterances):
     assert _written(utterances) == _reference_written(utterances)
+
+
+# -- export_owl checks each element as it builds it -------------------------------------
+
+
+@st.composite
+def xml_ontologies(draw):
+    """Ontologies, unvalidated, whose concept names and glosses, taxonomy
+    parents, relation ids and endpoints, and instance surfaces and types may
+    hold forbidden characters."""
+    names = draw(st.lists(XML_TEXT, max_size=3))
+    concepts = tuple(Concept(name, "domain", draw(st.none() | XML_TEXT)) for name in names)
+    edges = draw(st.lists(st.builds(TaxonomyEdge, st.sampled_from(names), XML_TEXT), max_size=3)) if names else []
+    relations = draw(st.lists(st.builds(Relation, XML_TEXT, st.just(frozenset({"m"})), XML_TEXT, XML_TEXT), max_size=2))
+    instances = draw(st.lists(st.builds(Instance, XML_TEXT, st.frozensets(XML_TEXT, max_size=2)), max_size=3))
+    return Ontology(concepts=concepts, taxonomy=tuple(edges), relations=tuple(relations), instances=tuple(instances))
+
+
+def _owl_written(ontology):
+    try:
+        return export_owl(ontology)
+    except XMLCharacterError as err:
+        return f"error: {err}"
+
+
+def _owl_reference_written(ontology):
+    with patch.object(serialize, "_checked_xml", lambda text, *where: text):
+        document = export_owl(ontology)
+    try:
+        return reference_checked_xml(document)
+    except XMLCharacterError as err:
+        return f"error: {err}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(xml_ontologies())
+def test_export_owl_refuses_what_the_whole_document_check_refuses(ontology):
+    assert _owl_written(ontology) == _owl_reference_written(ontology)
 
 
 # -- load_gold: the per-line loop it replaced -----------------------------------------------
