@@ -27,10 +27,13 @@ from .ontology_io import OntologyValidationError, load_ontology, parse_ontology_
 
 
 def _write_out(target: str, text: str) -> None:
+    """Write `text` as UTF-8, to stdout as to a file, whatever the locale."""
+    data = text.encode("utf-8")
     if target == "-":
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
     else:
-        Path(target).write_text(text, encoding="utf-8")
+        Path(target).write_bytes(data)
 
 
 def _info(message: str) -> None:
@@ -116,24 +119,26 @@ def _load_pair(args: argparse.Namespace):
     `validate` lists for the pair as a whole."""
     ontologies = (load_ontology(args.domain), load_ontology(args.task))
     if findings := pair_findings(ontologies):
-        raise OntologyValidationError(findings)
+        raise OntologyValidationError(findings, f"{args.domain}, {args.task}: ontology pair")
     return ontologies
 
 
 def _run_pipeline(args: argparse.Namespace):
-    """Load the checked ontology pair and the tables, checked against the
-    pair; normalize and annotate."""
+    """Load the checked ontology pair, the tables checked against the pair,
+    the corpus and, for `eval`, the gold file, so a bad input is refused
+    before any work; normalize and annotate."""
     ontologies = _load_pair(args)
     tables = load_tables(args.tables, *ontologies)
     utterances = load_utterances(args.input)
+    gold = load_gold(args.gold, *ontologies) if args.command == "eval" else None
     normalized = normalize_all(utterances, tables, *ontologies)
-    return ontologies, annotate_all(normalized, *ontologies)
+    return ontologies, gold, annotate_all(normalized, *ontologies)
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
     from .serialize import annotated_to_tsv, annotated_to_xml
 
-    _, annotated = _run_pipeline(args)
+    *_, annotated = _run_pipeline(args)
     text = annotated_to_xml(annotated) if args.format == "xml" else annotated_to_tsv(annotated)
     _write_out(args.out, text)
     _info(f"annotated {len(annotated)} utterance(s)")
@@ -143,7 +148,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 def cmd_interpret(args: argparse.Namespace) -> int:
     from .serialize import interpreted_to_tsv, interpreted_to_xml
 
-    ontologies, annotated = _run_pipeline(args)
+    ontologies, _, annotated = _run_pipeline(args)
     interpreted = interpret_all(annotated, *ontologies, tie_break=args.tie_break)
     text = (
         interpreted_to_xml(interpreted) if args.format == "xml" else interpreted_to_tsv(interpreted)
@@ -171,9 +176,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not args.input or not args.gold:
         _info("ontosem: eval requires --in and --gold (or --from-counts)")
         return EXIT_INPUT
-    ontologies, annotated = _run_pipeline(args)
+    ontologies, gold, annotated = _run_pipeline(args)
     interpreted = interpret_all(annotated, *ontologies, tie_break=args.tie_break)
-    gold = load_gold(args.gold, *ontologies)
     try:
         result = report(interpreted, gold, unresolved_policy=args.unresolved)
     except AlignmentError as err:

@@ -38,7 +38,8 @@ class UnknownGoldLabelError(CorpusFormatError):
 
 
 class GoldToken(NamedTuple):
-    index: int
+    """One gold line; its token index is its position in `GoldUtterance.tokens`."""
+
     surface: str
     label: str
 
@@ -114,7 +115,7 @@ def load_gold(path: str | Path, *ontologies: Ontology) -> dict[str, GoldUtteranc
             raise CorpusFormatError(
                 f"{path}:{lineno}: token index {index} out of order (expected {len(tokens)})"
             )
-        tokens.append(GoldToken(index, surface, label))
+        tokens.append(GoldToken(surface, label))
     return {uid: GoldUtterance(id=uid, tokens=tuple(tokens)) for uid, tokens in grouped.items()}
 
 

@@ -96,8 +96,9 @@ class Metrics(NamedTuple):
 
 
 class EvaluationReport(NamedTuple):
+    """The ratios of `counts` are `metrics(report.counts)`."""
+
     counts: EvaluationCounts
-    metrics: Metrics
     per_concept: dict[str, EvaluationCounts]
     single_label_counts: EvaluationCounts
 
@@ -156,7 +157,7 @@ def report(
     gold: Mapping[str, GoldUtterance],
     unresolved_policy: str = "not-recognized",
 ) -> EvaluationReport:
-    """Full evaluation: overall counts, metrics, per-gold-label breakdown, and
+    """Full evaluation: overall counts, per-gold-label breakdown, and
     the precision of tokens committed from a single-label annotation. Raises
     AlignmentError unless the predictions hold each gold utterance once, with
     the same token sequence."""
@@ -196,10 +197,8 @@ def report(
         if token.status is Status.LABELED and unchanged:
             single[bucket] += n
 
-    counts = EvaluationCounts.tally(overall["a"], overall["b"], overall["c"])
     return EvaluationReport(
-        counts=counts,
-        metrics=metrics(counts),
+        counts=EvaluationCounts.tally(overall["a"], overall["b"], overall["c"]),
         per_concept={
             label: EvaluationCounts.tally(t["a"], t["b"], t["c"])
             for label, t in sorted(per_concept.items())
@@ -252,7 +251,7 @@ def render_counts_table(counts: EvaluationCounts) -> str:
 def render_report(rep: EvaluationReport) -> str:
     """Counts table plus 4-decimal metrics and the per-label breakdown."""
     lines = [render_counts_table(rep.counts), ""]
-    m = rep.metrics
+    m = metrics(rep.counts)
 
     def show(value: float | None) -> str:
         return "n/a" if value is None else f"{value:.4f}"

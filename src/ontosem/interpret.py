@@ -31,9 +31,8 @@ UNRESOLVED_POLICIES = ("not-recognized", "incorrect")
 
 
 class Resolution(NamedTuple):
-    """Outcome of interpreting one token position."""
+    """Outcome of interpreting the token at its own index in `resolutions`."""
 
-    token_index: int
     outcome: str  # RESOLVED, UNRESOLVED or UNCHANGED
     candidates: frozenset[str] = EMPTY
     label: str | None = None
@@ -86,14 +85,13 @@ def resolve_token(
             target = relation_target(relation_id, ontologies)
             if target in candidates:
                 return Resolution(
-                    token_index=index,
                     outcome=RESOLVED,
                     candidates=candidates,
                     label=target,
                     via_relation=relation_id,
                     relation_token_index=j,
                 )
-    return Resolution(token_index=index, outcome=UNRESOLVED, candidates=candidates)
+    return Resolution(outcome=UNRESOLVED, candidates=candidates)
 
 
 def interpret(
@@ -114,19 +112,15 @@ def interpret(
 
     for index, token in enumerate(annotated.tokens):
         if token.status is not Status.AMBIGUOUS:
-            tokens.append(token)
-            resolutions.append(
-                Resolution(token_index=index, outcome=UNCHANGED, candidates=token.labels)
-            )
-            continue
-        resolution = resolve_token(index, annotated, ontologies, consumed, tie_break=tie_break)
-        resolutions.append(resolution)
-        if resolution.outcome == RESOLVED:
-            assert resolution.relation_token_index is not None
-            consumed.add(resolution.relation_token_index)
-            tokens.append(TokenAnnotation(token.surface, frozenset({resolution.label}), EMPTY, Status.LABELED))
+            resolution = Resolution(outcome=UNCHANGED, candidates=token.labels)
         else:
-            tokens.append(token)
+            resolution = resolve_token(index, annotated, ontologies, consumed, tie_break=tie_break)
+            if resolution.outcome == RESOLVED:
+                assert resolution.relation_token_index is not None
+                consumed.add(resolution.relation_token_index)
+                token = TokenAnnotation(token.surface, frozenset({resolution.label}), EMPTY, Status.LABELED)
+        tokens.append(token)
+        resolutions.append(resolution)
 
     return InterpretedUtterance(
         id=annotated.id, tokens=tuple(tokens), resolutions=tuple(resolutions)

@@ -85,9 +85,6 @@ class NormalizedUtterance(NamedTuple):
     id: str
     tokens: tuple[Token, ...]
 
-    def surfaces(self) -> list[str]:
-        return [token.surface for token in self.tokens]
-
 
 class CompoundRule(NamedTuple):
     parts: tuple[str, ...]

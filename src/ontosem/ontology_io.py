@@ -43,10 +43,11 @@ class OntologyValidationError(InputError):
 
     exit_code = EXIT_VALIDATION
 
-    def __init__(self, findings: list[Finding]):
+    def __init__(self, findings: list[Finding], subject: str):
+        """`subject` names what failed, file first: `<path>: ontology`."""
         self.findings = findings
         lines = "; ".join(str(f) for f in findings)
-        super().__init__(f"ontology failed validation: {lines}")
+        super().__init__(f"{subject} failed validation: {lines}")
 
 
 def parse_ontology_file(path: str | Path) -> Ontology:
@@ -119,5 +120,5 @@ def load_ontology(path: str | Path) -> Ontology:
     ontology = parse_ontology_file(path)
     findings = validate(ontology)
     if findings:
-        raise OntologyValidationError(findings)
+        raise OntologyValidationError(findings, f"{path}: ontology")
     return ontology

@@ -9,10 +9,39 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from ontosem import samples
 from ontosem.annotate import AnnotatedUtterance, Status, annotate
 from ontosem.interpret import RESOLVED, InterpretedUtterance
-from ontosem.normalize import NormalizedUtterance, Token
-from ontosem.ontology import Concept, Instance, Ontology, Relation
+from ontosem.normalize import NormalizedUtterance, Token, load_tables
+from ontosem.ontology import Concept, Instance, Ontology, Relation, pair_findings
+from ontosem.ontology_io import load_ontology
+
+
+# The bundled sample, loaded as the CLI loads any input: each ontology file
+# validated, the pair checked as a whole, the tables checked against the pair.
+@pytest.fixture(scope="session")
+def domain():
+    return load_ontology(samples.domain_ontology_path())
+
+
+@pytest.fixture(scope="session")
+def task(domain):
+    task = load_ontology(samples.task_ontology_path())
+    assert pair_findings((domain, task)) == []
+    return task
+
+
+@pytest.fixture(scope="session")
+def ontologies(domain, task):
+    return domain, task
+
+
+@pytest.fixture(scope="session")
+def tables(domain, task):
+    return load_tables(samples.tables_path(), domain, task)
+
 
 # Tiny synthetic ontology for interpreter enumeration tests: one ambiguous
 # surface, markers whose relation targets do / do not qualify, one plain

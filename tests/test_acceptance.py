@@ -20,7 +20,7 @@ from conftest import (
 )
 from ontosem import samples
 from ontosem.annotate import Status, annotate, annotate_all
-from ontosem.corpus import stats
+from ontosem.corpus import load_gold, load_utterances, stats
 from ontosem.evaluate import EvaluationCounts, metrics, report, report_to_document
 from ontosem.interpret import RESOLVED, interpret, interpret_all
 from ontosem.normalize import RawUtterance, normalize, normalize_all
@@ -46,21 +46,6 @@ def criterion(number, title):
     return decorate
 
 
-@pytest.fixture(scope="module")
-def domain():
-    return samples.load_sample_domain()
-
-
-@pytest.fixture(scope="module")
-def task():
-    return samples.load_sample_task()
-
-
-@pytest.fixture(scope="module")
-def tables():
-    return samples.load_sample_tables()
-
-
 @criterion(1, "reference counts reproduce 0.9697/0.6687 and display 0.96/0.66")
 def test_reference_metric_arithmetic():
     m = metrics(EvaluationCounts(448, 14, 208, 670))
@@ -83,7 +68,7 @@ def test_golden_annotation_sets(domain, task, tables):
 @criterion(3, "'ltwns IlmADy sAEh' end-to-end resolves twns -> Arrival_City")
 def test_direction_example_end_to_end(domain, task, tables):
     normalized = normalize(RawUtterance("u", "ltwns IlmADy sAEh"), tables, domain, task)
-    assert normalized.surfaces() == ["Ily", "twns", "IlmADy_sAEh"]
+    assert [t.surface for t in normalized.tokens] == ["Ily", "twns", "IlmADy_sAEh"]
     interpreted = interpret(annotate(normalized, domain, task), domain, task)
     resolution = interpreted.resolutions[1]
     assert interpreted.tokens[1].labels == {"Arrival_City"}
@@ -152,8 +137,9 @@ def test_property_normalize_idempotence(domain, task, tables):
             words[-1] += rng.choice("؟?!.,")
         text = (" " * rng.randint(1, 2)).join(words)
         once = normalize(RawUtterance("r", text), tables, domain, task)
-        again = normalize(RawUtterance("r", " ".join(once.surfaces())), tables, domain, task)
-        assert again.surfaces() == once.surfaces(), text
+        surfaces = [t.surface for t in once.tokens]
+        again = normalize(RawUtterance("r", " ".join(surfaces)), tables, domain, task)
+        assert [t.surface for t in again.tokens] == surfaces, text
 
 
 @criterion(6, "property (b): interpretation soundness and relation consumption")
@@ -247,9 +233,9 @@ def test_property_count_conservation():
                 relation_ids = frozenset({"rel_x"}) if status is Status.RELATION_MARKER else frozenset()
                 surface = f"s{t}"
                 tokens.append(TokenAnnotation(surface, token_labels, relation_ids, status))
-                resolutions.append(Resolution(t, UNCHANGED, token_labels))
+                resolutions.append(Resolution(UNCHANGED, token_labels))
                 gold_tokens.append(
-                    GoldToken(t, surface, rng.choice(labels + [SEMANTIC_RELATION_LABEL, "OOV"]))
+                    GoldToken(surface, rng.choice(labels + [SEMANTIC_RELATION_LABEL, "OOV"]))
                 )
             uid = f"u{u}"
             predicted.append(InterpretedUtterance(uid, tuple(tokens), tuple(resolutions)))
@@ -271,9 +257,9 @@ def test_owl_export_well_formed(domain, task):
 
 @criterion(8, "frozen mini-corpus evaluation report reproduced byte-for-byte")
 def test_regression_report_frozen(domain, task, tables):
-    normalized = normalize_all(samples.load_sample_corpus(), tables, domain, task)
+    normalized = normalize_all(load_utterances(samples.corpus_path()), tables, domain, task)
     interpreted = interpret_all(annotate_all(normalized, domain, task), domain, task)
-    gold = samples.load_sample_gold(merge(domain, task))
+    gold = load_gold(samples.gold_path(), merge(domain, task))
     result = report(interpreted, gold)
     produced = (
         json.dumps(report_to_document(result), ensure_ascii=False, indent=2, sort_keys=True) + "\n"

@@ -14,18 +14,9 @@ from ontosem.annotate import (
     annotate_token,
     committed_label,
 )
+from ontosem.corpus import load_utterances
 from ontosem.normalize import NormalizedUtterance, RawUtterance, Token, normalize
 from ontosem.ontology import EMPTY, Concept, Instance, Ontology, Relation, lookup
-
-
-@pytest.fixture(scope="module")
-def ontologies():
-    return samples.load_sample_domain(), samples.load_sample_task()
-
-
-@pytest.fixture(scope="module")
-def tables():
-    return samples.load_sample_tables()
 
 
 def normalized(surfaces_list, uid="u"):
@@ -62,13 +53,13 @@ def test_out_of_vocabulary_token(ontologies):
 
 
 def test_no_token_dropped(ontologies, tables):
-    for raw in samples.load_sample_corpus():
+    for raw in load_utterances(samples.corpus_path()):
         norm = normalize(raw, tables, *ontologies)
         assert len(annotate(norm, *ontologies).tokens) == len(norm.tokens)
 
 
 def test_status_matches_label_cardinality(ontologies, tables):
-    for raw in samples.load_sample_corpus():
+    for raw in load_utterances(samples.corpus_path()):
         norm = normalize(raw, tables, *ontologies)
         for token in annotate(norm, *ontologies).tokens:
             if token.status is Status.AMBIGUOUS:
@@ -85,7 +76,7 @@ def test_labels_are_declared_concepts(ontologies, tables):
     known = set()
     for ontology in ontologies:
         known |= ontology.concept_names
-    for raw in samples.load_sample_corpus():
+    for raw in load_utterances(samples.corpus_path()):
         norm = normalize(raw, tables, *ontologies)
         for token in annotate(norm, *ontologies).tokens:
             assert token.labels <= known

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from conftest import SRC
 from ontosem import cli, ontology, samples
 from ontosem._input import InputError
 from ontosem.cli import main
@@ -13,6 +17,8 @@ from ontosem.ontology_io import OntologyFormatError, OntologyValidationError
 from ontosem.serialize import XMLCharacterError
 
 OWL_NS = "{http://www.w3.org/2002/07/owl#}"
+# how `main` names the sample pair when it refuses the pair as a whole
+PAIR_REFUSED = f"ontosem: {samples.domain_ontology_path()}, {{task}}: ontology pair failed validation: "
 
 
 def run(argv):
@@ -155,7 +161,7 @@ def test_pipeline_commands_reject_a_pair_that_validate_rejects(out, tmp_path, ca
     detail = "trigger-instance-overlap: surface 'klAs' is both an instance and a trigger of relation 'rel_class'"
 
     assert run([*PIPELINE_COMMANDS[command], "--task", str(task), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"ontosem: ontology failed validation: {detail}\n"
+    assert capsys.readouterr().err == PAIR_REFUSED.format(task=task) + f"{detail}\n"
     assert not out.exists()
     assert run(["validate", "--task", str(task), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"merged: {detail}\n"
@@ -170,7 +176,7 @@ def test_export_owl_rejects_the_pair_as_interpret_does(out, tmp_path, capsys):
 
     assert run([*PIPELINE_COMMANDS["interpret"], "--task", str(task), "--out", str(out)]) == 2
     rejected = capsys.readouterr().err
-    assert rejected.startswith("ontosem: ontology failed validation: trigger-instance-overlap: surface 'Alywm'")
+    assert rejected.startswith(PAIR_REFUSED.format(task=task) + "trigger-instance-overlap: surface 'Alywm'")
     assert run(["export-owl", "--task", str(task), "--out", str(out)]) == 2
     assert capsys.readouterr().err == rejected
     assert not out.exists()
@@ -225,7 +231,7 @@ def test_pair_commands_reject_a_declaration_the_files_make_twice(out, tmp_path, 
     assert capsys.readouterr().err == "".join(f"merged: {detail}\n" for detail in details)
     out.unlink()
     assert run([*argv, "--task", str(task), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"ontosem: ontology failed validation: {'; '.join(details)}\n"
+    assert capsys.readouterr().err == PAIR_REFUSED.format(task=task) + f"{'; '.join(details)}\n"
     assert not out.exists()
 
 
@@ -285,6 +291,25 @@ def test_eval_from_counts_rejects_garbage(out):
 def test_eval_requires_input_and_gold(out):
     assert run(["eval", "--in", str(samples.corpus_path()), "--out", str(out)]) == 1
     assert run(["eval", "--gold", str(samples.gold_path()), "--out", str(out)]) == 1
+
+
+def test_eval_refuses_a_malformed_gold_file_before_running_the_pipeline(out, tmp_path, capsys, monkeypatch):
+    gold = tmp_path / "g.tsv"
+    gold.write_text("u1\t0\tOtrAn\n", encoding="utf-8")
+
+    def no_pipeline(*args):
+        raise AssertionError("eval normalized the corpus before reading gold")
+
+    monkeypatch.setattr(cli, "normalize_all", no_pipeline)
+    argv = ["eval", "--in", str(samples.corpus_path()), "--gold", str(gold), "--out", str(out)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"ontosem: {gold}:1: expected 4 tab-separated fields, got 3\n"
+    assert not out.exists()
+    # the corpus is still read first, so a bad corpus is the error reported
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("no tab\n", encoding="utf-8")
+    assert run(["eval", "--in", str(corpus), "--gold", str(gold), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ontosem: {corpus}:1: expected 'id<TAB>text'\n"
 
 
 def test_eval_alignment_failure_exits_3(out, tmp_path, capsys):
@@ -420,13 +445,13 @@ def test_compound_part_that_is_a_variant_base_exits_2(out, tmp_path, capsys):
          "variant 'zz' emits 'ltwns', which a second pass splits into ['Ily', 'twns']"),
     ],
 )
-def test_tables_that_break_the_fixed_point_exit_2(out, tmp_path, capsys, mutate, text, finding):
+def test_tables_that_break_the_fixed_point_exit_2(out, tmp_path, capsys, ontologies, mutate, text, finding):
     path = _bundled_with("--tables", tmp_path, mutate)
     tables = load_tables(path)
-    ontologies = samples.load_sample_domain(), samples.load_sample_task()
-    once = normalize(RawUtterance("u", text), tables, *ontologies).surfaces()
-    assert once == ["ltwns"]
-    assert normalize(RawUtterance("u", "ltwns"), tables, *ontologies).surfaces() == ["Ily", "twns"]
+    once = normalize(RawUtterance("u", text), tables, *ontologies).tokens
+    assert [t.surface for t in once] == ["ltwns"]
+    again = normalize(RawUtterance("u", "ltwns"), tables, *ontologies).tokens
+    assert [t.surface for t in again] == ["Ily", "twns"]
 
     corpus = ["--in", str(samples.corpus_path()), "--gold", str(samples.gold_path())]
     assert run(["eval", "--tables", str(path), "--out", str(out)] + corpus) == 2
@@ -509,6 +534,17 @@ def test_validate_broken_ontology_exits_2(out, tmp_path, capsys):
     assert capsys.readouterr().err == f"domain: taxonomy-cycle: {detail}\n"
 
 
+def test_pipeline_command_names_the_ontology_file_it_refuses(out, tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    doc = {"format_version": 1, "kind": "task", "concepts": [{"name": "A"}], "taxonomy": [{"child": "A", "parent": "A"}]}
+    broken.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["interpret", "--task", str(broken), "--in", str(samples.corpus_path()), "--out", str(out)]
+    assert run(argv) == 2
+    detail = "taxonomy-cycle: concept 'A' is its own ancestor"
+    assert capsys.readouterr().err == f"ontosem: {broken}: ontology failed validation: {detail}\n"
+    assert not out.exists()
+
+
 def test_validate_unparseable_ontology_exits_1(out, tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("not json", encoding="utf-8")
@@ -571,6 +607,22 @@ def test_stdout_default_target(capsys):
     assert json.loads(captured.out)["utterance_count"] == 25
 
 
+@pytest.mark.parametrize("output_format", ["tsv", "xml"])
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stdout_gets_the_bytes_of_out_whatever_the_locale(tmp_path, encoding, output_format):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("u1\tOtrAn café\n", encoding="utf-8")
+    argv = [sys.executable, "-m", "ontosem", "annotate", "--in", str(corpus), "--format", output_format]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": encoding}
+    to_stdout = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    assert to_stdout.returncode == 0, to_stdout.stderr
+    to_file = subprocess.run(argv + ["--out", str(tmp_path / "out")], env=env, capture_output=True, timeout=60)
+    assert to_file.returncode == 0, to_file.stderr
+    assert to_stdout.stdout == (tmp_path / "out").read_bytes()
+    assert "café".encode("utf-8") in to_stdout.stdout
+
+
 # every refusal is an `InputError` that carries the exit code `main` returns
 REFUSALS = {
     "ontology-format": (OntologyFormatError("o.json: top level must be an object"), 1),
@@ -580,7 +632,9 @@ REFUSALS = {
     "xml-character": (XMLCharacterError("cannot write XML for utterance 'a': U+0001 is not allowed in XML 1.0"), 1),
     "tables-format": (TablesError("t.json: top level must be an object"), 1),
     "tables-findings": (TablesError("t.json: tables are not a fixed point", ["variant 'a' is a base"]), 2),
-    "ontology-validation": (OntologyValidationError([Finding("taxonomy-cycle", "concept 'A' is its own ancestor")]), 2),
+    "ontology-validation": (
+        OntologyValidationError([Finding("taxonomy-cycle", "concept 'A' is its own ancestor")], "o.json: ontology"), 2
+    ),
 }
 
 

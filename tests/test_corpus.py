@@ -15,8 +15,8 @@ from ontosem.ontology import merge
 
 
 @pytest.fixture(scope="module")
-def merged():
-    return merge(samples.load_sample_domain(), samples.load_sample_task())
+def merged(domain, task):
+    return merge(domain, task)
 
 
 # -- raw corpus -----------------------------------------------------------------
@@ -76,7 +76,7 @@ def test_only_newline_ends_a_gold_line(tmp_path, char):
         load_gold(path)
     assert str(err.value) == f"{path}:2: expected 4 tab-separated fields, got 3"
     path.write_text(f"u1\t0\tOtrAn{char}\tTrain\n", encoding="utf-8")
-    assert load_gold(path)["u1"].tokens == (GoldToken(0, "OtrAn", "Train"),)
+    assert load_gold(path)["u1"].tokens == (GoldToken("OtrAn", "Train"),)
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
@@ -85,12 +85,12 @@ def test_crlf_and_cr_files_read_as_newline_files(tmp_path, newline):
     gold = samples.gold_path().read_text(encoding="utf-8")
     for name, text in (("c.tsv", corpus), ("g.tsv", gold)):
         (tmp_path / name).write_bytes(text.replace("\n", newline).encode("utf-8"))
-    assert load_utterances(tmp_path / "c.tsv") == samples.load_sample_corpus()
+    assert load_utterances(tmp_path / "c.tsv") == load_utterances(samples.corpus_path())
     assert load_gold(tmp_path / "g.tsv") == load_gold(samples.gold_path())
 
 
 def test_shipped_corpus_size():
-    assert len(samples.load_sample_corpus()) == 25
+    assert len(load_utterances(samples.corpus_path())) == 25
 
 
 # -- gold ------------------------------------------------------------------------
@@ -109,22 +109,21 @@ def test_gold_rejects_unknown_label(tmp_path, merged):
         load_gold(path, merged)
 
 
-def test_gold_with_the_pair_accepts_a_label_only_the_task_declares(tmp_path, merged):
-    domain, task = samples.load_sample_domain(), samples.load_sample_task()
+def test_gold_with_the_pair_accepts_a_label_only_the_task_declares(tmp_path, domain, task, merged):
     assert "Booking_Request" in task.concept_names - domain.concept_names
     path = tmp_path / "g.tsv"
     path.write_text("u1\t0\tHjz\tBooking_Request\n", encoding="utf-8")
     assert load_gold(path, domain, task)["u1"].tokens[0].label == "Booking_Request"
     with pytest.raises(UnknownGoldLabelError, match="Booking_Request"):
         load_gold(path, domain)
-    assert samples.load_sample_gold(domain, task) == samples.load_sample_gold(merged)
+    assert load_gold(samples.gold_path(), domain, task) == load_gold(samples.gold_path(), merged)
 
 
-def test_gold_with_the_pair_rejects_a_label_neither_declares(tmp_path):
+def test_gold_with_the_pair_rejects_a_label_neither_declares(tmp_path, domain, task):
     path = tmp_path / "g.tsv"
     path.write_text("u1\t0\tOtrAn\tTrain\nu1\t1\tOtrAn\tTrian\n", encoding="utf-8")
     with pytest.raises(UnknownGoldLabelError) as err:
-        load_gold(path, samples.load_sample_domain(), samples.load_sample_task())
+        load_gold(path, domain, task)
     assert str(err.value) == f"{path}:2: unknown gold label 'Trian'"
 
 
@@ -158,29 +157,26 @@ def test_gold_index_takes_ascii_digits_only(tmp_path, index):
     assert str(err.value) == f"{path}:1: token index {index!r} is not an integer"
 
 
-def test_shipped_gold_aligns_with_normalized_corpus(merged):
-    domain = samples.load_sample_domain()
-    task = samples.load_sample_task()
-    tables = samples.load_sample_tables()
-    gold = samples.load_sample_gold(merged)
-    normalized = normalize_all(samples.load_sample_corpus(), tables, domain, task)
+def test_shipped_gold_aligns_with_normalized_corpus(domain, task, tables, merged):
+    gold = load_gold(samples.gold_path(), merged)
+    normalized = normalize_all(load_utterances(samples.corpus_path()), tables, domain, task)
     assert {n.id for n in normalized} == set(gold)
     for norm in normalized:
-        assert norm.surfaces() == [t.surface for t in gold[norm.id].tokens], norm.id
+        assert [t.surface for t in norm.tokens] == [t.surface for t in gold[norm.id].tokens], norm.id
 
 
 def write_gold(gold, path):
     """Write a gold mapping in the TSV form `load_gold` reads."""
     lines = ["# ontosem gold corpus v1: utterance_id<TAB>token_index<TAB>surface<TAB>gold_label"]
     for utterance in gold.values():
-        for token in utterance.tokens:
-            lines.append(f"{utterance.id}\t{token.index}\t{token.surface}\t{token.label}")
+        for index, token in enumerate(utterance.tokens):
+            lines.append(f"{utterance.id}\t{index}\t{token.surface}\t{token.label}")
         lines.append("")
     path.write_text("\n".join(lines), encoding="utf-8")
 
 
 def test_gold_round_trip(tmp_path, merged):
-    gold = samples.load_sample_gold(merged)
+    gold = load_gold(samples.gold_path(), merged)
     path = tmp_path / "g.tsv"
     write_gold(gold, path)
     assert load_gold(path, merged) == gold
@@ -225,12 +221,12 @@ def test_stats_counts_raw_words_before_normalization():
 
 
 def test_stats_invariant_under_reordering():
-    utterances = samples.load_sample_corpus()
+    utterances = load_utterances(samples.corpus_path())
     forward = stats(utterances)
     assert stats(list(reversed(utterances))) == forward
 
 
 def test_stats_word_count_matches_whitespace_split_sum():
-    utterances = samples.load_sample_corpus()
+    utterances = load_utterances(samples.corpus_path())
     result = stats(utterances)
     assert result.word_count == sum(len(u.text.split()) for u in utterances)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ontosem import samples
 from ontosem.annotate import SEMANTIC_RELATION_LABEL, Status, TokenAnnotation, annotate_all
-from ontosem.corpus import GoldToken, GoldUtterance
+from ontosem.corpus import GoldToken, GoldUtterance, load_gold, load_utterances
 from ontosem.evaluate import (
     AlignmentError,
     EvaluationCounts,
@@ -26,12 +26,10 @@ def make_predicted(uid, rows):
     """rows: (surface, status, labels). Builds a pass-through interpretation."""
     tokens = []
     resolutions = []
-    for index, (surface, status, labels) in enumerate(rows):
+    for surface, status, labels in rows:
         relation_ids = frozenset({"rel_x"}) if status is Status.RELATION_MARKER else frozenset()
         tokens.append(TokenAnnotation(surface, frozenset(labels), relation_ids, status))
-        resolutions.append(
-            Resolution(token_index=index, outcome=UNCHANGED, candidates=frozenset(labels))
-        )
+        resolutions.append(Resolution(outcome=UNCHANGED, candidates=frozenset(labels)))
     return InterpretedUtterance(id=uid, tokens=tuple(tokens), resolutions=tuple(resolutions))
 
 
@@ -39,7 +37,7 @@ def make_gold(uid, rows):
     return {
         uid: GoldUtterance(
             id=uid,
-            tokens=tuple(GoldToken(i, surface, label) for i, (surface, label) in enumerate(rows)),
+            tokens=tuple(GoldToken(surface, label) for surface, label in rows),
         )
     }
 
@@ -246,13 +244,10 @@ def test_count_conservation_on_random_comparisons(pair, policy):
 # -- report ------------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def mini_corpus_report():
-    domain = samples.load_sample_domain()
-    task = samples.load_sample_task()
-    tables = samples.load_sample_tables()
-    normalized = normalize_all(samples.load_sample_corpus(), tables, domain, task)
+def mini_corpus_report(domain, task, tables):
+    normalized = normalize_all(load_utterances(samples.corpus_path()), tables, domain, task)
     interpreted = interpret_all(annotate_all(normalized, domain, task), domain, task)
-    gold = samples.load_sample_gold(merge(domain, task))
+    gold = load_gold(samples.gold_path(), merge(domain, task))
     return report(interpreted, gold)
 
 

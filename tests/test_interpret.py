@@ -13,6 +13,7 @@ from conftest import (
 )
 from ontosem import samples
 from ontosem.annotate import AnnotatedUtterance, Status, TokenAnnotation, annotate, annotate_all
+from ontosem.corpus import load_utterances
 from ontosem.interpret import (
     RESOLVED,
     UNCHANGED,
@@ -26,18 +27,8 @@ from ontosem.ontology import Concept, Ontology, Relation, UnknownRelationError, 
 
 
 @pytest.fixture(scope="module")
-def ontologies():
-    return samples.load_sample_domain(), samples.load_sample_task()
-
-
-@pytest.fixture(scope="module")
 def merged(ontologies):
     return merge(*ontologies)
-
-
-@pytest.fixture(scope="module")
-def tables():
-    return samples.load_sample_tables()
 
 
 def label_of(interpreted, index):
@@ -88,7 +79,7 @@ def test_no_marker_leaves_token_unresolved(ontologies):
 
 
 def test_output_token_count_matches_input(ontologies, tables):
-    for raw in samples.load_sample_corpus():
+    for raw in load_utterances(samples.corpus_path()):
         annotated = annotate(normalize(raw, tables, *ontologies), *ontologies)
         assert len(interpret(annotated, *ontologies).tokens) == len(annotated.tokens)
 
@@ -175,7 +166,7 @@ def test_interpret_all_validates_tie_break_on_empty_input(ontologies):
 # -- properties ---------------------------------------------------------------------
 
 def test_soundness_and_consumption_on_shipped_corpus(ontologies, tables):
-    for raw in samples.load_sample_corpus():
+    for raw in load_utterances(samples.corpus_path()):
         annotated = annotate(normalize(raw, tables, *ontologies), *ontologies)
         interpreted = interpret(annotated, *ontologies)
         marker_count = sum(1 for t in annotated.tokens if t.relation_ids)
@@ -193,7 +184,7 @@ def test_interpretation_is_local_to_one_utterance(ontologies, tables):
     # batch interpretation equals interpreting each utterance in isolation
     annotated = [
         annotate(normalize(raw, tables, *ontologies), *ontologies)
-        for raw in samples.load_sample_corpus()
+        for raw in load_utterances(samples.corpus_path())
     ]
     batch = interpret_all(annotated, *ontologies)
     solo = [interpret(a, *ontologies) for a in annotated]
@@ -278,7 +269,7 @@ def test_property_interpret_pair_equals_interpret_merged(pair, tokens, tie_break
 
 
 def test_interpret_never_merges(ontologies, tables, monkeypatch):
-    normalized = normalize_all(samples.load_sample_corpus(), tables, *ontologies)
+    normalized = normalize_all(load_utterances(samples.corpus_path()), tables, *ontologies)
     annotated = annotate_all(normalized, *ontologies)
     expected = interpret_all(annotated, merge(*ontologies))
 

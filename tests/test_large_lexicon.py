@@ -37,22 +37,18 @@ def committed(utterances, tables, ontology):
     return {u.id: [(t.surface, committed_label(t)) for t in u.tokens] for u in interpreted}
 
 
-def test_inflated_lexicon_keeps_committed_labels(tmp_path):
+def test_inflated_lexicon_keeps_committed_labels(tmp_path, domain, task, tables):
     workloads = load_workloads()
     inputs = workloads.generate(
         workloads.WORKLOADS["large-lexicon"], 1, samples.corpus_path().parent, tmp_path
     )
     assert inputs.instances > 20_000 and inputs.compounds > 2_000
 
-    sample = committed(
-        samples.load_sample_corpus(),
-        samples.load_sample_tables(),
-        merge(samples.load_sample_domain(), samples.load_sample_task()),
-    )
-    domain, task = load_ontology(inputs.domain), load_ontology(inputs.task)
-    tables = load_tables(inputs.tables, domain, task)  # as the CLI checks them
-    assert tables == load_tables(inputs.tables)  # as the benchmark loads them
-    inflated = committed(load_utterances(inputs.corpus), tables, merge(domain, task))
+    sample = committed(load_utterances(samples.corpus_path()), tables, merge(domain, task))
+    big_domain, big_task = load_ontology(inputs.domain), load_ontology(inputs.task)
+    big_tables = load_tables(inputs.tables, big_domain, big_task)  # as the CLI checks them
+    assert big_tables == load_tables(inputs.tables)  # as the benchmark loads them
+    inflated = committed(load_utterances(inputs.corpus), big_tables, merge(big_domain, big_task))
     assert len(inflated) == len(sample) == 25
     for uid, tokens in inflated.items():
         original = sample[inputs.base_of[uid]]

@@ -20,7 +20,7 @@ import pytest
 
 from ontosem import samples
 from ontosem.annotate import AnnotatedUtterance, Status, TokenAnnotation, annotate_all
-from ontosem.corpus import CorpusStats, GoldToken, GoldUtterance
+from ontosem.corpus import CorpusStats, GoldToken, GoldUtterance, load_utterances
 from ontosem.evaluate import EvaluationCounts, Metrics
 from ontosem.interpret import RESOLVED, InterpretedUtterance, Resolution, interpret_all
 from ontosem.normalize import (
@@ -41,10 +41,8 @@ BYTES_PER_INSTANCE_BOUND = 200
 INSTANCES = 20_000
 
 
-def test_bytes_held_per_token():
-    domain, task = samples.load_sample_domain(), samples.load_sample_task()
-    tables = samples.load_sample_tables()
-    corpus = samples.load_sample_corpus()
+def test_bytes_held_per_token(domain, task, tables):
+    corpus = load_utterances(samples.corpus_path())
     raws = [RawUtterance(f"{u.id}.{copy}", u.text) for copy in range(COPIES) for u in corpus]
     # one pass first, so the ontologies' lazy indexes are not counted
     interpret_all(annotate_all(normalize_all(corpus, tables, domain, task), domain, task), domain, task)
@@ -102,10 +100,10 @@ RECORDS = [
     CliticRule("l", ("Ily",)),
     TokenAnnotation("twns", frozenset({"Arrival_City"}), frozenset(), Status.LABELED),
     AnnotatedUtterance("u", (TokenAnnotation("zzz", frozenset(), frozenset(), Status.NOT_RECOGNIZED),)),
-    Resolution(1, RESOLVED, frozenset({"A", "B"}), "A", "rel_a", 0),
-    InterpretedUtterance("u", (), (Resolution(0, "unchanged"),)),
-    GoldToken(0, "OtrAn", "Train"),
-    GoldUtterance("u", (GoldToken(0, "OtrAn", "Train"),)),
+    Resolution(RESOLVED, frozenset({"A", "B"}), "A", "rel_a", 0),
+    InterpretedUtterance("u", (), (Resolution("unchanged"),)),
+    GoldToken("OtrAn", "Train"),
+    GoldUtterance("u", (GoldToken("OtrAn", "Train"),)),
     CorpusStats(1, 3, 3.0),
     Metrics(Fraction(1, 2), Fraction(1, 3), None),
     Concept("Train", "domain", "a train"),

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import surface_vocabulary
 from ontosem import samples
 from ontosem.buckwalter import transliterate
+from ontosem.corpus import load_utterances
 from ontosem.normalize import (
     CliticRule,
     CompoundRule,
@@ -74,16 +75,6 @@ def reference_normalize(raw, tables, *ontologies):
             token = Token(base, token.span, token.trace + (f"variant:{token.surface}",))
         final.append(token)
     return NormalizedUtterance(id=raw.id, tokens=tuple(final))
-
-
-@pytest.fixture(scope="module")
-def tables():
-    return samples.load_sample_tables()
-
-
-@pytest.fixture(scope="module")
-def ontologies():
-    return samples.load_sample_domain(), samples.load_sample_task()
 
 
 @pytest.fixture(scope="module")
@@ -337,11 +328,11 @@ def test_empty_compound_parts_reported_by_load(tmp_path):
         load_tables(path)
 
 
-def test_variants_are_read_only_and_equal_tables_hash_equal(tables):
+def test_variants_are_read_only_and_equal_tables_hash_equal(tables, ontologies):
     with pytest.raises(TypeError):
         tables.variants["zz"] = "qq"
     assert "zz" not in tables.variants
-    assert hash(tables) == hash(samples.load_sample_tables())
+    assert hash(tables) == hash(load_tables(samples.tables_path(), *ontologies))
     source = {"x": "y"}
     built = NormalizationTables(variants=source)
     source["x"] = "z"
@@ -457,8 +448,8 @@ def test_compound_part_that_is_a_variant_base_rejected_at_load(tmp_path, ontolog
     tables = load_tables(path)
     for text in ("trAn X", "OtrAn X"):
         once = normalize(RawUtterance("u", text), tables, *ontologies)
-        again = normalize(RawUtterance("u", " ".join(once.surfaces())), tables, *ontologies)
-        assert again.surfaces() == once.surfaces()
+        again = normalize(RawUtterance("u", " ".join(surfaces(once.tokens))), tables, *ontologies)
+        assert surfaces(again.tokens) == surfaces(once.tokens)
 
 
 @pytest.mark.parametrize(
@@ -478,8 +469,8 @@ def test_compound_part_that_is_a_replacement_rejected_at_load(
     rules = [CompoundRule(tuple(c["parts"]), c.get("replacement", "_".join(c["parts"]))) for c in compounds]
     tables = NormalizationTables(tuple(rules))
     once = normalize(RawUtterance("u", text), tables, *ontologies)
-    again = normalize(RawUtterance("u", " ".join(once.surfaces())), tables, *ontologies)
-    assert again.surfaces() != once.surfaces()  # the hole the check closes
+    again = normalize(RawUtterance("u", " ".join(surfaces(once.tokens))), tables, *ontologies)
+    assert surfaces(again.tokens) != surfaces(once.tokens)  # the hole the check closes
 
     path = tmp_path / "tables.json"
     path.write_text(json.dumps({"format_version": 1, "compounds": compounds}), encoding="utf-8")
@@ -544,25 +535,25 @@ def test_tables_bad_json_reports_position(tmp_path):
 
 def test_normalize_worked_example(tables, ontologies):
     result = normalize(RawUtterance("u", "ltwns IlmADy sAEh"), tables, *ontologies)
-    assert result.surfaces() == ["Ily", "twns", "IlmADy_sAEh"]
+    assert surfaces(result.tokens) == ["Ily", "twns", "IlmADy_sAEh"]
 
 
 def test_normalize_time_question(tables, ontologies):
     result = normalize(RawUtterance("u", "wqtA$ yxrj OtrAn?"), tables, *ontologies)
-    assert result.surfaces() == ["wqtA$", "yxrj", "OtrAn"]
+    assert surfaces(result.tokens) == ["wqtA$", "yxrj", "OtrAn"]
 
 
 def test_normalize_arabic_script_variant(tables, ontologies):
     result = normalize(RawUtterance("u", "وقتاش يخرج التران؟"), tables, *ontologies)
-    assert result.surfaces() == ["wqtA$", "yxrj", "OtrAn"]
+    assert surfaces(result.tokens) == ["wqtA$", "yxrj", "OtrAn"]
     assert "variant:AltrAn" in result.tokens[2].trace
 
 
 def test_normalize_idempotent_on_shipped_corpus(tables, ontologies):
-    for raw in samples.load_sample_corpus():
+    for raw in load_utterances(samples.corpus_path()):
         once = normalize(raw, tables, *ontologies)
-        again = normalize(RawUtterance(raw.id, " ".join(once.surfaces())), tables, *ontologies)
-        assert again.surfaces() == once.surfaces(), raw.id
+        again = normalize(RawUtterance(raw.id, " ".join(surfaces(once.tokens))), tables, *ontologies)
+        assert surfaces(again.tokens) == surfaces(once.tokens), raw.id
 
 
 def write_tables(path, tables):
@@ -578,8 +569,8 @@ def write_tables(path, tables):
 
 
 def two_passes(text, tables, *ontologies):
-    once = normalize(RawUtterance("u", text), tables, *ontologies).surfaces()
-    return once, normalize(RawUtterance("u", " ".join(once)), tables, *ontologies).surfaces()
+    once = surfaces(normalize(RawUtterance("u", text), tables, *ontologies).tokens)
+    return once, surfaces(normalize(RawUtterance("u", " ".join(once)), tables, *ontologies).tokens)
 
 
 def load_findings(path, *ontologies):
@@ -606,7 +597,7 @@ def test_load_tables_names_what_a_clitic_rule_splits_again(tmp_path, tables, ont
     reduced = NormalizationTables(
         (CompoundRule(("c", "d"), "ltwns"),), tables.clitics, {"ltwns": "twns"}
     )
-    assert normalize(RawUtterance("u", "c d"), reduced, *ontologies).surfaces() == ["twns"]
+    assert surfaces(normalize(RawUtterance("u", "c d"), reduced, *ontologies).tokens) == ["twns"]
     assert load_tables(write_tables(path, reduced), *ontologies) == reduced
     # an entry mapping a surface to itself rewrites nothing, but makes the
     # surface a known clitic host
@@ -713,7 +704,7 @@ def test_property_normalize_is_a_fixed_point_under_accepted_tables(
 
 
 def test_normalize_spans_strictly_increasing(tables, ontologies):
-    for raw in samples.load_sample_corpus():
+    for raw in load_utterances(samples.corpus_path()):
         result = normalize(raw, tables, *ontologies)
         spans = [t.span for t in result.tokens]
         assert all(0 <= s <= e <= len(raw.text) for s, e in spans)
@@ -721,7 +712,7 @@ def test_normalize_spans_strictly_increasing(tables, ontologies):
 
 
 def test_clitic_expansion_never_creates_unknown_remainder(tables, ontologies, vocabulary):
-    for raw in samples.load_sample_corpus():
+    for raw in load_utterances(samples.corpus_path()):
         result = normalize(raw, tables, *ontologies)
         for token in result.tokens:
             if any(step.startswith("clitic:") for step in token.trace):

@@ -22,17 +22,6 @@ from ontosem.ontology import (
     trigger_instance_overlap,
     validate,
 )
-from ontosem import samples
-
-
-@pytest.fixture(scope="module")
-def domain():
-    return samples.load_sample_domain()
-
-
-@pytest.fixture(scope="module")
-def task():
-    return samples.load_sample_task()
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@ RDF_ABOUT = "{http://www.w3.org/1999/02/22-rdf-syntax-ns#}about"
 
 # -- loading -------------------------------------------------------------------
 
-def test_load_sample_domain_has_15_concepts():
+def test_sample_domain_has_15_concepts():
     ontology = load_ontology(samples.domain_ontology_path())
     assert len(ontology.concepts) == 15
 
@@ -176,12 +176,8 @@ def test_concept_records_inherit_document_kind(tmp_path):
 
 # -- round trip ------------------------------------------------------------------
 
-def test_save_then_load_sample_round_trips(tmp_path):
-    for name, loader in (
-        ("domain.json", samples.load_sample_domain),
-        ("task.json", samples.load_sample_task),
-    ):
-        original = loader()
+def test_sample_pair_round_trips_through_a_written_file(tmp_path, domain, task):
+    for name, original in (("domain.json", domain), ("task.json", task)):
         path = tmp_path / name
         write_ontology(original, path)
         assert load_ontology(path) == original
@@ -253,8 +249,8 @@ def test_round_trip_random_ontologies(tmp_path_factory, ontology):
 # -- OWL export -------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def sample_owl():
-    merged = merge(samples.load_sample_domain(), samples.load_sample_task())
+def sample_owl(domain, task):
+    merged = merge(domain, task)
     return merged, export_owl(merged)
 
 

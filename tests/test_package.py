@@ -39,6 +39,10 @@ def test_importing_the_package_loads_no_submodule():
     assert loaded_after("import ontosem") == ["ontosem"]
 
 
+def test_samples_loads_no_other_submodule():
+    assert loaded_after("from ontosem import samples") == ["ontosem", "ontosem.samples"]
+
+
 def test_stage_names_of_the_package_are_modules():
     code = """
 import sys

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import annotate_surfaces, run_python
-from ontosem import samples
 from ontosem.interpret import interpret
 from ontosem.serialize import (
     XMLCharacterError,
@@ -16,11 +15,6 @@ from ontosem.serialize import (
     interpreted_to_xml,
     quoteattr,
 )
-
-
-@pytest.fixture(scope="module")
-def ontologies():
-    return samples.load_sample_domain(), samples.load_sample_task()
 
 
 @pytest.fixture(scope="module")

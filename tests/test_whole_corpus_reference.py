@@ -40,7 +40,7 @@ from ontosem.corpus import (
     UnknownGoldLabelError,
     load_gold,
 )
-from ontosem.evaluate import AlignmentError, EvaluationCounts, EvaluationReport, metrics, report
+from ontosem.evaluate import AlignmentError, EvaluationCounts, EvaluationReport, report
 from ontosem.interpret import RESOLVED, TIE_BREAKS, UNCHANGED, UNRESOLVED, UNRESOLVED_POLICIES, interpret
 from ontosem.ontology import EMPTY, Concept, Instance, Ontology, Relation, TaxonomyEdge
 from ontosem.serialize import (
@@ -152,10 +152,8 @@ def reference_report(predicted, gold, unresolved_policy="not-recognized"):
             if token.status is Status.LABELED and resolution.outcome == UNCHANGED:
                 single[bucket] += 1
 
-    counts = EvaluationCounts.tally(overall["a"], overall["b"], overall["c"])
     return EvaluationReport(
-        counts=counts,
-        metrics=metrics(counts),
+        counts=EvaluationCounts.tally(overall["a"], overall["b"], overall["c"]),
         per_concept={
             label: EvaluationCounts.tally(t["a"], t["b"], t["c"])
             for label, t in sorted(per_concept.items())
@@ -229,8 +227,7 @@ def corpora(draw):
             )
             interpreted[-1] = interpreted[-1]._replace(resolutions=resolutions)
         labels = [draw(st.sampled_from(GOLD_LABELS)) for _ in surfaces]
-        rows = enumerate(zip(surfaces, labels))
-        gold[uid] = GoldUtterance(uid, tuple(GoldToken(i, s, label) for i, (s, label) in rows))
+        gold[uid] = GoldUtterance(uid, tuple(GoldToken(s, label) for s, label in zip(surfaces, labels)))
     order = draw(st.permutations(list(gold)))
     return annotated, interpreted, {uid: gold[uid] for uid in order}
 
@@ -280,8 +277,8 @@ def test_the_first_alignment_fault_in_gold_order_raises():
     left = annotate(make_normalized(["amb", "m1", "pln"], uid="u1"), DOMAIN, TASK)
     right = annotate(make_normalized(["pln", "tsk"], uid="u2"), DOMAIN, TASK)
     predicted = [interpret(left, DOMAIN, TASK), interpret(right, DOMAIN, TASK)]
-    surface_fault = GoldUtterance("u1", tuple(GoldToken(i, s, "C1") for i, s in enumerate(("amb", "m2", "pln"))))
-    count_fault = GoldUtterance("u2", (GoldToken(0, "pln", "C3"),))
+    surface_fault = GoldUtterance("u1", tuple(GoldToken(s, "C1") for s in ("amb", "m2", "pln")))
+    count_fault = GoldUtterance("u2", (GoldToken("pln", "C3"),))
     messages = {
         "u1": "utterance 'u1' token 1: surface 'm1' vs gold 'm2'",
         "u2": "utterance 'u2': 2 predicted tokens vs 1 gold tokens",
@@ -519,7 +516,7 @@ def reference_load_gold(path, *ontologies):
             tokens = grouped[utterance_id] = []
         if index != len(tokens):
             raise CorpusFormatError(f"{path}:{lineno}: token index {index} out of order (expected {len(tokens)})")
-        tokens.append(GoldToken(index=index, surface=surface, label=label))
+        tokens.append(GoldToken(surface=surface, label=label))
     return {uid: GoldUtterance(id=uid, tokens=tuple(tokens)) for uid, tokens in grouped.items()}
 
 
@@ -572,7 +569,7 @@ def test_load_gold_reads_a_valid_file_as_its_reference_does(tmp_path):
     path.write_text(VALID_GOLD, encoding="utf-8")
     loaded = load_gold(path, DOMAIN, TASK)
     assert loaded == reference_load_gold(path, DOMAIN, TASK) == reference_load_gold(path)
-    assert list(loaded) == ["u1", "u2", "u1x"] and loaded["u2"].tokens == (GoldToken(0, "zzz", "OOV"),)
+    assert list(loaded) == ["u1", "u2", "u1x"] and loaded["u2"].tokens == (GoldToken("zzz", "OOV"),)
 
 
 @pytest.mark.parametrize("kind", MALFORMED_GOLD)
