@@ -43,6 +43,15 @@ def read(path: Path, error: type[InputError], parse=json.loads):
         raise error(f"{path}: JSON nested too deeply") from None
 
 
+def strings(value: object) -> tuple[str, ...] | None:
+    """`value` as a tuple if it is an array of strings, else None."""
+    try:
+        "".join(value if type(value) is list else 0)  # TypeError unless strings
+    except TypeError:
+        return None
+    return tuple(value)
+
+
 def reader(doc: object, source: str, error: type[InputError]):
     """Check the header of `doc`; return the readers of its sections and fields."""
     if not isinstance(doc, dict):
@@ -53,7 +62,7 @@ def reader(doc: object, source: str, error: type[InputError]):
 
     def records(key: str) -> list[dict]:
         value = doc.get(key, [])  # an absent section is empty
-        if not isinstance(value, list) or any(not isinstance(r, dict) for r in value):
+        if not isinstance(value, list) or not {*map(type, value)} <= {dict}:
             raise error(f"{source}: {key!r} must be an array of objects")
         return value
 
@@ -63,8 +72,8 @@ def reader(doc: object, source: str, error: type[InputError]):
         value = record.get(key, default)
         if value is ...:
             raise error(f"{source}: {where} record missing {key!r}")
-        if array and isinstance(value, list) and all(isinstance(v, str) for v in value):
-            return tuple(value)
+        if array and (items := strings(value)) is not None:
+            return items
         if value is default or (not array and isinstance(value, str)):
             return value
         raise error(f"{source}: {where} {key!r} must be {'an array of strings' if array else 'a string'}")

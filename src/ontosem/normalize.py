@@ -35,12 +35,13 @@ given the ontologies `normalize` will be passed.
 from __future__ import annotations
 
 import re
-from itertools import chain
+from bisect import bisect_left, bisect_right
+from itertools import chain, product
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from ._input import EXIT_VALIDATION, InputError, read, reader
+from ._input import EXIT_VALIDATION, InputError, read, reader, strings
 from .buckwalter import transliterate
 from .ontology import Ontology, lookup
 
@@ -163,7 +164,8 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
     `Ily twns` when an ontology knows `twns`. Nor may a clitic rule split a
     surface the gate knows, as it can be left as a clitic's host: with the
     instance `ltwns`, `mnltwns` would give `mn ltwns`, then `mn Ily twns`;
-    these findings come sorted.
+    these findings come sorted. The hosts among the instances, which are
+    sorted by surface, are found by a binary search per clitic prefix.
     """
     path = Path(path)
     doc = read(path, TablesError)
@@ -178,8 +180,11 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
     compounds: list[CompoundRule] = []
     seen_parts: set[tuple[str, ...]] = set()
     for record in records("compounds"):
-        parts = field(record, "parts", "compound", (), array=True)
-        replacement = field(record, "replacement", "compound", "_".join(parts))
+        # type checked inline; `field` reads a record that fails, for its message
+        parts = strings(record.get("parts")) or field(record, "parts", "compound", (), array=True)
+        replacement = record.get("replacement", "_".join(parts))
+        if type(replacement) is not str:
+            field(record, "replacement", "compound")  # raises
         if len(parts) < 2:
             findings.append(f"compound {parts!r} needs at least two parts")
         if parts in seen_parts:
@@ -201,8 +206,10 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
 
     clitics: list[CliticRule] = []
     for record in records("clitics"):
-        prefix = field(record, "prefix", "clitic", "")
-        expansion = field(record, "expansion", "clitic", (), array=True)
+        prefix = record.get("prefix", "")
+        if type(prefix) is not str:
+            field(record, "prefix", "clitic")  # raises
+        expansion = strings(record.get("expansion")) or field(record, "expansion", "clitic", (), array=True)
         if not prefix:
             findings.append("clitic rule with empty prefix")
         if not expansion:
@@ -237,9 +244,12 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
         elif len(parts := split(surface)) > 1:
             findings.append(f"{kind} {key!r} emits {surface!r}, which a second pass splits into {parts!r}")
     # a surface a variant rewrites leaves as its base, checked above as emitted
-    hosts = chain(variants, *(r.triggers for o in ontologies for r in o.relations),
-                  (i.surface for o in ontologies for i in o.instances))
-    for host in sorted({s for s in hosts if s.startswith(prefixes)}):
+    hosts = {s for s in chain(variants, *(r.triggers for o in ontologies for r in o.relations)) if s.startswith(prefixes)}
+    for instances, prefix in product([o.instances for o in ontologies], prefixes):
+        head = lambda instance: instance.surface[:len(prefix)]
+        start = bisect_left(instances, prefix, key=head)
+        hosts.update(i.surface for i in instances[start:bisect_right(instances, prefix, start, key=head)])
+    for host in sorted(hosts):
         if radicalize(host, tables) == host and len(parts := split(host)) > 1:
             findings.append(f"known surface {host!r} is a clitic host that a second pass splits into {parts!r}")
     if findings:

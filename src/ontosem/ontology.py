@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 DOMAIN = "domain"
 TASK = "task"
@@ -79,17 +80,21 @@ class Ontology(_Collections):
     serialization are independent of the order records were supplied in.
     Query helpers assume a validated ontology (see validate()); on malformed
     data they still terminate but results follow first-declaration-wins rules.
-    The indexes are built on first use and kept in the instance `__dict__`.
+    The indexes are built on first use and kept in the instance `__dict__`;
+    `surface_index`, if given, is the one `read_instances` built with `instances`.
     """
 
-    def __new__(cls, concepts=(), taxonomy=(), instances=(), relations=()):
-        return super().__new__(
+    def __new__(cls, concepts=(), taxonomy=(), instances=(), relations=(), *, surface_index=None):
+        ontology = super().__new__(
             cls,
             tuple(sorted(concepts, key=lambda c: (c.name, c.kind, c.gloss or ""))),
             tuple(sorted(taxonomy)),
-            tuple(sorted(instances, key=lambda i: i.surface)),
+            tuple(sorted(instances, key=itemgetter(0))),
             tuple(sorted(relations, key=lambda r: r.id)),
         )
+        if surface_index is not None:
+            ontology.__dict__["_instances_by_surface"] = surface_index
+        return ontology
 
     @classmethod
     def _make(cls, iterable) -> "Ontology":  # `_replace` calls it: sort there too
@@ -103,11 +108,11 @@ class Ontology(_Collections):
 
     @cached_property
     def _instances_by_surface(self) -> dict[str, frozenset[str]]:
+        """Each surface's concept set: the record's own unless a second record claims the surface."""
         index: dict[str, frozenset[str]] = {}
-        for instance in self.instances:
-            known = index.get(instance.surface)
-            # the instance's own set unless a second record claims the surface
-            index[instance.surface] = instance.concepts if known is None else known | instance.concepts
+        for surface, concepts in self.instances:
+            if index.setdefault(surface, concepts) is not concepts:
+                index[surface] = index[surface] | concepts
         return index
 
     @cached_property
@@ -124,6 +129,29 @@ class Ontology(_Collections):
         for relation in self.relations:
             index.setdefault(relation.id, relation)
         return index
+
+
+def read_instances(records: Iterable[dict], field: Callable) -> tuple[list[Instance], dict[str, frozenset[str]]]:
+    """The instances of the JSON `records` and their surface index, built in
+    one pass. Equal concept lists share one set (a lexicon has few); `field`,
+    the file's reader, runs only on a record that fails the inline type check
+    and on a list not seen before, so every message is the reader's own."""
+    shared: dict[tuple[str, ...], frozenset[str]] = {}
+    instances, index = [], {}
+    for r in records:
+        surface, names = r.get("surface"), r.get("concepts")
+        if type(surface) is not str or type(names) is not list:
+            surface = field(r, "surface", "instance")
+            names = field(r, "concepts", "instance", array=True)
+        key = tuple(names)
+        try:
+            members = shared[key]
+        except (KeyError, TypeError):  # TypeError: the list holds an unhashable value
+            members = shared[key] = frozenset(field(r, "concepts", "instance", array=True))
+        instances.append(Instance(surface, members))
+        if index.setdefault(surface, members) is not members:
+            index[surface] = index[surface] | members
+    return instances, index
 
 
 def lookup(
@@ -203,6 +231,8 @@ def validate(ontology: Ontology) -> list[Finding]:
     surface claims, empty collections where content is required, and surface
     forms claimed both as an instance and as a relation trigger. An empty list
     means the ontology is well-formed.
+    The instances are checked as a whole, per distinct concept set, and one
+    by one only when that fails, to list each finding in order.
     """
     findings: list[Finding] = []
     add = findings.append
@@ -231,18 +261,19 @@ def validate(ontology: Ontology) -> list[Finding]:
     for node in _cycle_nodes(parents_of):
         add(Finding("taxonomy-cycle", f"concept {node!r} is its own ancestor"))
 
-    surfaces_seen: set[str] = set()
-    for instance in ontology.instances:
-        if not instance.surface:
-            add(Finding("bad-surface", "instance with empty surface form"))
-        if not instance.concepts:
-            add(Finding("empty-instance", f"instance {instance.surface!r} maps to no concept"))
-        if not instance.concepts <= known:
+    index = ontology._instances_by_surface
+    if len(index) < len(ontology.instances) or "" in index or not all(c and c <= known for c in set(index.values())):
+        surfaces_seen: set[str] = set()
+        for instance in ontology.instances:
+            if not instance.surface:
+                add(Finding("bad-surface", "instance with empty surface form"))
+            if not instance.concepts:
+                add(Finding("empty-instance", f"instance {instance.surface!r} maps to no concept"))
             for name in sorted(instance.concepts - known):
                 add(Finding("dangling-instance-concept", f"instance {instance.surface!r} references unknown concept {name!r}"))
-        if instance.surface in surfaces_seen:
-            add(Finding("duplicate-surface", f"surface {instance.surface!r} claimed by more than one instance record"))
-        surfaces_seen.add(instance.surface)
+            if instance.surface in surfaces_seen:
+                add(Finding("duplicate-surface", f"surface {instance.surface!r} claimed by more than one instance record"))
+            surfaces_seen.add(instance.surface)
 
     relation_ids_seen: set[str] = set()
     for relation in ontology.relations:

@@ -25,11 +25,11 @@ from ._input import EXIT_VALIDATION, InputError, read, reader
 from .ontology import (
     Concept,
     Finding,
-    Instance,
     KINDS,
     Ontology,
     Relation,
     TaxonomyEdge,
+    read_instances,
     validate,
 )
 
@@ -79,23 +79,7 @@ def parse_ontology_file(path: str | Path) -> Ontology:
         )
         for r in records("taxonomy")
     )
-    # A lexicon has far fewer distinct concept lists than instances, so every
-    # instance with the same list holds the same set. The fields are type
-    # checked inline; `field` runs only on a record that fails the check and
-    # on a list not seen before, so the messages stay the reader's own.
-    shared: dict[tuple[str, ...], frozenset[str]] = {}
-    instances = []
-    for r in records("instances"):
-        surface, names = r.get("surface"), r.get("concepts")
-        if type(surface) is not str or type(names) is not list:
-            surface = field(r, "surface", "instance")
-            names = field(r, "concepts", "instance", array=True)
-        key = tuple(names)
-        try:
-            members = shared[key]
-        except (KeyError, TypeError):  # TypeError: the list holds an unhashable value
-            members = shared[key] = frozenset(field(r, "concepts", "instance", array=True))
-        instances.append(Instance(surface, members))
+    instances, surface_index = read_instances(records("instances"), field)
     relations = tuple(
         Relation(
             id=field(r, "id", "relation"),
@@ -105,9 +89,7 @@ def parse_ontology_file(path: str | Path) -> Ontology:
         )
         for r in records("relations")
     )
-    return Ontology(
-        concepts=concepts, taxonomy=taxonomy, instances=tuple(instances), relations=relations
-    )
+    return Ontology(concepts, taxonomy, instances, relations, surface_index=surface_index)
 
 
 def load_ontology(path: str | Path) -> Ontology:

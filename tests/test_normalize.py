@@ -1,5 +1,6 @@
 import json
 import re
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -512,6 +513,17 @@ def test_single_part_compound_rejected(tmp_path):
         ("clitics", [{"prefix": 5, "expansion": ["Ily"]}], "clitic 'prefix' must be a string"),
         ("variants", {"AltrAn": ["OtrAn"]}, "variant 'AltrAn' must be a string"),
         ("variants", {"AltrAn": None}, "variant 'AltrAn' must be a string"),
+        # each inline type check fails over to the reader, which words the error
+        ("compounds", [{"parts": None}], "compound 'parts' must be an array of strings"),
+        ("compounds", [{"parts": [["a"], "b"]}], "compound 'parts' must be an array of strings"),
+        ("compounds", [{"parts": ["a", "b"], "replacement": None}], "compound 'replacement' must be a string"),
+        ("compounds", [{"parts": ["a", "b"]}, {"parts": 5, "replacement": 5}], "compound 'parts' must be an array of strings"),
+        ("compounds", [{"parts": [], "replacement": 5}], "compound 'replacement' must be a string"),
+        ("clitics", [{"prefix": None, "expansion": ["Ily"]}], "clitic 'prefix' must be a string"),
+        ("clitics", [{"prefix": "l", "expansion": None}], "clitic 'expansion' must be an array of strings"),
+        ("clitics", [{"prefix": "l", "expansion": ["Ily", 1]}], "clitic 'expansion' must be an array of strings"),
+        ("clitics", [{"prefix": ["l"], "expansion": "Ily"}], "clitic 'prefix' must be a string"),
+        ("clitics", [{"prefix": "l", "expansion": ["Ily"]}, "l"], "'clitics' must be an array of objects"),
     ],
 )
 def test_malformed_tables_schema_rejected(tmp_path, section, value, message):
@@ -654,6 +666,72 @@ def test_load_tables_rejects_a_known_surface_that_a_clitic_rule_splits(
         "known surface 'ltwns' is a clitic host that a second pass splits into ['Ily', 'twns']"
     ]
     assert load_tables(path, *ontologies) == tables
+
+
+def reference_host_findings(tables, ontologies):
+    """The clitic-host findings of `load_tables`, by a linear scan over every
+    variant key, trigger and instance surface with the set-union gate."""
+    known = reference_vocabulary(tables, ontologies).__contains__
+    prefixes = tuple(rule.prefix for rule in tables.clitics)
+    hosts = chain(tables.variants, *(r.triggers for o in ontologies for r in o.relations),
+                  (i.surface for o in ontologies for i in o.instances))
+    findings = []
+    for host in sorted({s for s in hosts if s.startswith(prefixes)}):
+        parts = surfaces(expand_clitics([Token(host, (0, len(host)))], tables, known))
+        if radicalize(host, tables) == host and len(parts) > 1:
+            findings.append(f"known surface {host!r} is a clitic host that a second pass splits into {parts!r}")
+    return findings
+
+
+# Surfaces on the edges of the prefix ranges of `l`, `ll`, `m` and `mn`: each
+# prefix alone, heads just below (`k`, `lk`, `mm`) and just above (`lm`,
+# `l~`, `mo`, `n`) a range in sort order, each alone or before a host.
+HOST_HEADS = ("", "k", "l", "lk", "ll", "lll", "lm", "l~", "m", "mm", "mn", "mo", "n")
+boundary_surface = st.tuples(st.sampled_from(HOST_HEADS), st.sampled_from(("", "a", "twns"))).map("".join).filter(bool)
+
+
+def boundary_ontology(instances, triggers):
+    return Ontology(
+        concepts=(Concept("C", "domain"),),
+        instances=tuple(Instance(s, frozenset({"C"})) for s in instances),
+        relations=(Relation("rel", frozenset(triggers), "C", "C"),) if triggers else (),
+    )
+
+
+def host_findings(path, ontologies):
+    try:
+        load_tables(path, *ontologies)
+    except TablesError as err:
+        return [f for f in err.findings if f.startswith("known surface")]
+    return []
+
+
+def test_clitic_hosts_on_the_range_edges_equal_the_linear_scan(tmp_path):
+    tables = NormalizationTables(clitics=[CliticRule(p, ("Ily",)) for p in ("l", "ll", "m", "mn")])
+    hosts = ("l", "ll", "lla", "lka", "l~a", "lma", "m", "mn", "ma", "mma", "mna", "moa")
+    ontology = boundary_ontology(hosts + ("a", "ka", "k", "oa", "~a", "n", "na"), ())
+    want = reference_host_findings(tables, [ontology])
+    assert [f.split("'")[1] for f in want] == ["lka", "ll", "lla", "lma", "l~a", "ma", "mma", "mn", "mna", "moa"]
+    assert host_findings(write_tables(tmp_path / "tables.json", tables), [ontology]) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    prefixes=st.lists(st.sampled_from(("l", "ll", "m", "mn")), min_size=1, unique=True),
+    expansion=st.sampled_from((("Ily",), ("mn",), ("Ily", "mn"))),
+    pair=st.lists(st.tuples(st.sets(boundary_surface, max_size=8), st.sets(boundary_surface, max_size=2)),
+                  min_size=1, max_size=2),
+    variant_keys=st.sets(boundary_surface, max_size=2),
+)
+def test_property_clitic_hosts_found_by_prefix_range_equal_the_linear_scan(
+    tmp_path_factory, prefixes, expansion, pair, variant_keys
+):
+    tables = NormalizationTables(
+        clitics=[CliticRule(p, expansion) for p in prefixes], variants={k: k for k in variant_keys}
+    )
+    ontologies = [boundary_ontology(instances, triggers) for instances, triggers in pair]
+    path = write_tables(tmp_path_factory.getbasetemp() / "boundary_tables.json", tables)
+    assert host_findings(path, ontologies) == reference_host_findings(tables, ontologies)
 
 
 # Clitic-prefix letters, surfaces the sample pair knows and surfaces that do

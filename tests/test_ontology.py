@@ -420,8 +420,10 @@ def test_property_pair_overlap_equals_the_merged_one(pair):
 def drawn_ontology(own):
     """`generated_ontology(own)` with drawn concept glosses, kinds (or all
     "domain") and taxonomy edges, so that a pair may conflict in each; half
-    the time with up to one more record per collection, which may break any
-    rule of validate in the file itself."""
+    the time with up to one more concept, edge and relation and up to three
+    more instances (an empty surface, a surface claimed again, an empty or
+    dangling concept set), which may break any rule of validate in the file
+    itself."""
     base = generated_ontology(own)
     glosses = st.sampled_from((None, "g1", "g2"))
     kinds = st.sampled_from(KINDS)
@@ -435,7 +437,7 @@ def drawn_ontology(own):
     extra_edges = st.lists(st.builds(TaxonomyEdge, names, names), max_size=1)
     extra_instances = st.lists(
         st.builds(Instance, st.sampled_from(("", "shared", own, "marker")), st.frozensets(names, max_size=2)),
-        max_size=1,
+        max_size=3,
     )
     extra_relations = st.lists(
         st.builds(
