@@ -23,8 +23,8 @@ spellings) to the base form used by the ontology and must be idempotent.
 
 Each token costs a few dict lookups whatever the size of the tables and
 ontologies: compounds are indexed by their first part when the tables are
-built, and the clitic gate asks the variant table and `ontology.lookup`,
-which reads each ontology's own surface indexes instead of copying them.
+built, and the clitic gate asks the variant table and `ontology.lookup`;
+`normalize_all` asks it once per distinct surface per call, not per token.
 
 Normalization is a pure function and a fixed point: running it over its own
 output changes nothing. `load_tables(path, *ontologies)` is the one check of
@@ -226,12 +226,6 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
 
     known = _clitic_gate(tables, ontologies)
     prefixes = tuple(rule.prefix for rule in tables.clitics)
-
-    def split(surface: str) -> list[str]:
-        if not surface.startswith(prefixes):
-            return [surface]
-        return [t.surface for t in expand_clitics([Token(surface, (0, len(surface)))], tables, known)]
-
     emitted = [("compound", rule.parts, rule.replacement) for rule in tables.compounds]
     emitted += [("variant", key, base) for key, base in sorted(variants.items()) if base != key]
     emitted += [("clitic", rule.prefix, s) for rule in tables.clitics for s in rule.expansion]
@@ -241,8 +235,8 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
         if not _TOKEN.fullmatch(surface) or not (surface.isascii() or transliterate(surface) == surface):
             parts = [t.surface for t in tokenize(RawUtterance("", surface))]
             findings.append(f"{kind} {key!r} emits {surface!r}, which a second pass tokenizes into {parts!r}")
-        elif len(parts := split(surface)) > 1:
-            findings.append(f"{kind} {key!r} emits {surface!r}, which a second pass splits into {parts!r}")
+        elif pieces := surface.startswith(prefixes) and _expand_surface(surface, tables, known):
+            findings.append(f"{kind} {key!r} emits {surface!r}, which a second pass splits into {[t.surface for t in pieces]!r}")
     # a surface a variant rewrites leaves as its base, checked above as emitted
     hosts = {s for s in chain(variants, *(r.triggers for o in ontologies for r in o.relations)) if s.startswith(prefixes)}
     for instances, prefix in product([o.instances for o in ontologies], prefixes):
@@ -250,8 +244,8 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
         start = bisect_left(instances, prefix, key=head)
         hosts.update(i.surface for i in instances[start:bisect_right(instances, prefix, start, key=head)])
     for host in sorted(hosts):
-        if radicalize(host, tables) == host and len(parts := split(host)) > 1:
-            findings.append(f"known surface {host!r} is a clitic host that a second pass splits into {parts!r}")
+        if radicalize(host, tables) == host and (pieces := _expand_surface(host, tables, known)):
+            findings.append(f"known surface {host!r} is a clitic host that a second pass splits into {[t.surface for t in pieces]!r}")
     if findings:
         raise TablesError(f"{path}: invalid tables", findings)
     return tables
@@ -275,9 +269,9 @@ def expand_clitics(
     only fires when the remainder after stripping the prefix is a known
     surface form, i.e. `known(rest)` is true; everything else passes through
     unchanged, so unknown words that merely start with a clitic letter are
-    left intact. `known` is asked once per matching prefix: `normalize`
-    passes a gate over the variant table and the ontologies, and a set's
-    `__contains__` works as well.
+    left intact. `known` is asked once per matching prefix (per distinct
+    surface per call in `normalize_all`): `normalize` passes a gate over the
+    variant table and the ontologies; a set's `__contains__` works as well.
     """
     out: list[Token] = []
     for token in tokens:
@@ -364,18 +358,39 @@ def normalize(
     """
     tokens = tokenize(raw)
     tokens = expand_clitics(tokens, tables, _clitic_gate(tables, ontologies))
-    tokens = merge_compounds(tokens, tables)
-
-    final: list[Token] = []
-    for token in tokens:
-        base = radicalize(token.surface, tables)
-        if base != token.surface:
-            token = Token(base, token.span, token.trace + (f"variant:{token.surface}",))
-        final.append(token)
-    return NormalizedUtterance(id=raw.id, tokens=tuple(final))
+    return _merge_and_radicalize(raw.id, tokens, tables)
 
 
 def normalize_all(
     utterances: Iterable[RawUtterance], tables: NormalizationTables, *ontologies: Ontology
 ) -> list[NormalizedUtterance]:
-    return [normalize(raw, tables, *ontologies) for raw in utterances]
+    """`normalize` of each utterance; each distinct surface's clitic expansion is worked out once per call."""
+    known = _clitic_gate(tables, ontologies)
+    expansions: dict[str, list[Token] | None] = {}
+    out: list[NormalizedUtterance] = []
+    for raw in utterances:
+        tokens: list[Token] = []
+        for token in tokenize(raw):
+            if (pieces := expansions.get(token.surface, False)) is False:
+                pieces = expansions[token.surface] = _expand_surface(token.surface, tables, known)
+            at = token.span[0]
+            tokens += [Token(p.surface, (at + p.span[0], at + p.span[1]), p.trace) for p in pieces] if pieces else [token]
+        out.append(_merge_and_radicalize(raw.id, tokens, tables))
+    return out
+
+
+def _expand_surface(surface: str, tables: NormalizationTables, known: Callable[[str], bool]) -> list[Token] | None:
+    """`expand_clitics` of the token `surface` at (0, len(surface)); None if it stays whole."""
+    pieces = expand_clitics([whole := Token(surface, (0, len(surface)))], tables, known)
+    return None if pieces[0] is whole else pieces
+
+
+def _merge_and_radicalize(uid: str, tokens: list[Token], tables: NormalizationTables) -> NormalizedUtterance:
+    """`normalize` after clitic expansion: compounds, then each token's variant base."""
+    final: list[Token] = []
+    for token in merge_compounds(tokens, tables):
+        base = radicalize(token.surface, tables)
+        if base != token.surface:
+            token = Token(base, token.span, token.trace + (f"variant:{token.surface}",))
+        final.append(token)
+    return NormalizedUtterance(id=uid, tokens=tuple(final))

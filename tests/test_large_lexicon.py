@@ -4,18 +4,21 @@
 instances, 2,000 filler compounds and 500 filler variants, none of which
 occurs in the corpus, and appends out-of-vocabulary noise words to each
 utterance. Filler must not change the label of any original token, whatever
-the size of the tables and ontologies.
+the size of the tables and ontologies. The noise words rarely repeat, so
+`normalize_all` works out most clitic expansions afresh.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from ontosem import samples
 from ontosem.annotate import annotate_all, committed_label
 from ontosem.corpus import load_gold, load_utterances
 from ontosem.interpret import interpret_all
-from ontosem.normalize import load_tables, normalize_all
+from ontosem.normalize import load_tables, normalize, normalize_all
 from ontosem.ontology import merge
 from ontosem.ontology_io import load_ontology
 
@@ -37,11 +40,15 @@ def committed(utterances, tables, ontology):
     return {u.id: [(t.surface, committed_label(t)) for t in u.tokens] for u in interpreted}
 
 
-def test_inflated_lexicon_keeps_committed_labels(tmp_path, domain, task, tables):
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
     workloads = load_workloads()
-    inputs = workloads.generate(
-        workloads.WORKLOADS["large-lexicon"], 1, samples.corpus_path().parent, tmp_path
+    return workloads.generate(
+        workloads.WORKLOADS["large-lexicon"], 1, samples.corpus_path().parent, tmp_path_factory.mktemp("large")
     )
+
+
+def test_inflated_lexicon_keeps_committed_labels(inputs, domain, task, tables):
     assert inputs.instances > 20_000 and inputs.compounds > 2_000
 
     sample = committed(load_utterances(samples.corpus_path()), tables, merge(domain, task))
@@ -58,3 +65,11 @@ def test_inflated_lexicon_keeps_committed_labels(tmp_path, domain, task, tables)
 
     gold = load_gold(inputs.gold, domain, task)
     assert {uid: tuple((t.surface, t.label) for t in u.tokens) for uid, u in gold.items()} == inputs.gold_of
+
+
+def test_normalize_all_equals_normalize_per_utterance_on_the_inflated_lexicon(inputs):
+    pair = load_ontology(inputs.domain), load_ontology(inputs.task)
+    big_tables = load_tables(inputs.tables, *pair)
+    utterances = load_utterances(inputs.corpus)
+    assert len(big_tables.compounds) > 2_000 and len(big_tables.variants) > 500
+    assert normalize_all(utterances, big_tables, *pair) == [normalize(u, big_tables, *pair) for u in utterances]

@@ -1,12 +1,12 @@
 import json
 import re
-from itertools import chain
+from itertools import chain, combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from conftest import surface_vocabulary
-from ontosem import samples
+from ontosem import normalize as normalize_module, samples
 from ontosem.buckwalter import transliterate
 from ontosem.corpus import load_utterances
 from ontosem.normalize import (
@@ -22,6 +22,7 @@ from ontosem.normalize import (
     load_tables,
     merge_compounds,
     normalize,
+    normalize_all,
     radicalize,
     tokenize,
 )
@@ -797,3 +798,86 @@ def test_clitic_expansion_never_creates_unknown_remainder(tables, ontologies, vo
                 known = token.surface in vocabulary
                 is_marker = any(token.surface in r.expansion for r in tables.clitics)
                 assert known or is_marker, token
+
+
+# -- normalize_all: each distinct surface expanded once per call ---------------------
+
+@st.composite
+def raw_corpora(draw):
+    """Generated tables and ontologies, and raw utterances over SURFACES plus
+    clitic forms. A word repeats within and across utterances at other
+    character offsets, with spaces and punctuation between the words."""
+    tables = draw(generated_tables)
+    ontologies = draw(st.lists(generated_ontology(), min_size=0, max_size=2))
+    words = st.sampled_from(SURFACES + ("lx", "mnb", "mc", "lla", "mnla"))
+    gaps = st.sampled_from((" ", "  ", ", ", "? ", "!"))
+    raws = []
+    for u in range(draw(st.integers(0, 5))):
+        text = "".join(w + draw(gaps) for w in draw(st.lists(words, max_size=8)))
+        raws.append(RawUtterance(f"u{u}", draw(st.sampled_from(("", " ", "."))) + text))
+    return tables, ontologies, raws
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_corpora())
+def test_property_normalize_all_equals_normalize_per_utterance(corpus):
+    tables, ontologies, raws = corpus
+    assert normalize_all(raws, tables, *ontologies) == [normalize(r, tables, *ontologies) for r in raws]
+
+
+def _normalized_tokens(corpus):
+    tables, ontologies, raws = corpus
+    return [t for r in raws for t in normalize(r, tables, *ontologies).tokens]
+
+
+def _host_at_two_offsets(corpus):
+    tables, ontologies, raws = corpus
+    starts = {}
+    for t in (t for r in raws for t in tokenize(r)):
+        starts.setdefault(t.surface, set()).add(t.span[0])
+    steps = lambda s: (step for t in normalize(RawUtterance("", s), tables, *ontologies).tokens for step in t.trace)
+    return any(len(at) > 1 and any(step.startswith("clitic:") for step in steps(s)) for s, at in starts.items())
+
+
+def _equal_not_same(corpus):
+    _, _, raws = corpus
+    surfaces = [t.surface for r in raws for t in tokenize(r)]
+    return any(a == b and a is not b for a, b in combinations(surfaces, 2))
+
+
+@pytest.mark.parametrize("holds", [
+    _host_at_two_offsets,
+    lambda c: any(t.span[0] == t.span[1] for t in _normalized_tokens(c)),
+    lambda c: any(t.trace[0].startswith("clitic:") and "compound" in t.trace for t in _normalized_tokens(c) if t.trace),
+    lambda c: any(step.startswith("variant:") for t in _normalized_tokens(c) for step in t.trace),
+    _equal_not_same,
+], ids=["repeated-host", "two-token-expansion", "compound-over-rest", "variant", "equal-not-same"])
+def test_the_raw_corpora_hold_what_the_property_needs(holds):
+    find(raw_corpora(), holds, settings=settings(database=None, phases=[Phase.generate], max_examples=1000))
+
+
+def test_normalize_all_expands_each_distinct_surface_once_per_call(monkeypatch, tables, ontologies):
+    calls = []
+
+    def counted(tokens, *args):
+        calls.append([t.surface for t in tokens])
+        return expand_clitics(tokens, *args)
+
+    monkeypatch.setattr(normalize_module, "expand_clitics", counted)
+    raws = [RawUtterance("u0", "ltwns sAEh ltwns?"), RawUtterance("u1", "sAEh, ltwns")]
+    first = normalize_all(raws, tables, *ontologies)
+    assert calls == [["ltwns"], ["sAEh"]]
+    assert [t.span for t in first[1].tokens] == [(0, 4), (6, 7), (7, 11)]
+    assert normalize_all(raws, tables, *ontologies) == first
+    assert calls == [["ltwns"], ["sAEh"]] * 2  # nothing was kept from the first call
+
+
+def test_successive_calls_under_other_tables_or_ontologies_give_their_own_output(tables, ontologies):
+    raws = [RawUtterance("u", "ltwns mn ltwns")]
+    split = normalize_all(raws, tables, *ontologies)
+    assert [t.surface for t in split[0].tokens] == ["Ily", "twns", "mn", "Ily", "twns"]
+    for other in [(tables,), (NormalizationTables(variants=tables.variants), *ontologies)]:
+        whole = normalize_all(raws, *other)
+        assert whole == [normalize(raws[0], *other)]
+        assert [t.surface for t in whole[0].tokens] == ["ltwns", "mn", "ltwns"]
+    assert normalize_all(raws, tables, *ontologies) == split
