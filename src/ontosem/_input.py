@@ -18,9 +18,17 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F][0-9a-fA-F]{2}")
 
 
 class InputError(ValueError):
-    """An input refused with a one-line message; the CLI exits `exit_code`."""
+    """An input refused with a one-line message; the CLI exits `exit_code`:
+    2 when the refusal lists `findings`, joined to the message, else 1."""
 
     exit_code = EXIT_INPUT
+
+    def __init__(self, message: str, findings=()):
+        self.findings = list(findings)
+        if self.findings:
+            message += ": " + "; ".join(map(str, self.findings))
+            self.exit_code = EXIT_VALIDATION
+        super().__init__(message)
 
 
 def read(path: Path, error: type[InputError], parse=json.loads):

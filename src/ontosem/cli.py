@@ -5,8 +5,8 @@ Machine-readable output goes to the path given with --out ('-' for stdout);
 human-readable diagnostics go to stderr only, so outputs stay pipeable.
 
 Exit codes: 0 success, 1 input or parse error, 2 validation failure,
-3 predicted/gold alignment error. A refused input raises an `InputError`,
-which carries its exit code; `main` prints it as one `ontosem: ` line.
+3 predicted/gold alignment error. A refused input or argument raises an
+`InputError`, exit 2 if it lists findings; `main` prints it as one line.
 """
 
 from __future__ import annotations
@@ -163,19 +163,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
                            render_report, report, report_to_document)
 
     if args.from_counts:
-        try:
-            a, b, c, d = (int(part) for part in args.from_counts.split(","))
+        parts = [part.strip() for part in args.from_counts.split(",")]
+        try:  # ASCII digits only, as a gold token index: `int` also takes a sign, `_` and other digits
+            if bad := [part for part in parts if not (part.isascii() and part.isdigit())]:
+                raise ValueError(f"count {bad[0]!r} is not an integer")
+            a, b, c, d = map(int, parts)
             counts = EvaluationCounts(a, b, c, d)
         except ValueError as err:
-            _info(f"ontosem: bad --from-counts value: {err}")
-            return EXIT_INPUT
+            raise InputError(f"bad --from-counts value: {err}") from None
         _write_out(args.out, _json_text(counts_to_document(counts)))
         _info(render_counts_table(counts))
         return EXIT_OK
 
     if not args.input or not args.gold:
-        _info("ontosem: eval requires --in and --gold (or --from-counts)")
-        return EXIT_INPUT
+        raise InputError("eval requires --in and --gold (or --from-counts)")
     ontologies, gold, annotated = _run_pipeline(args)
     interpreted = interpret_all(annotated, *ontologies, tie_break=args.tie_break)
     try:

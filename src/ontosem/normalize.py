@@ -41,7 +41,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from ._input import EXIT_VALIDATION, InputError, read, reader, strings
+from ._input import InputError, read, reader
 from .buckwalter import transliterate
 from .ontology import Ontology, lookup
 
@@ -55,13 +55,6 @@ _TOKEN = re.compile(f"[^\\s{re.escape(''.join(sorted(PUNCTUATION)))}]+")
 
 class TablesError(InputError):
     """Malformed (exit 1) or invariant-violating (exit 2) tables file."""
-
-    def __init__(self, message: str, findings: list[str] | None = None):
-        self.findings = findings or []
-        if self.findings:
-            message = message + ": " + "; ".join(self.findings)
-            self.exit_code = EXIT_VALIDATION
-        super().__init__(message)
 
 
 class RawUtterance(NamedTuple):
@@ -148,24 +141,24 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
     """Parse and check a normalization tables file for use with `ontologies`,
     the ones `normalize` will be given.
 
-    Raises TablesError for bytes that are not UTF-8, bad JSON or a section or
-    field of the wrong JSON type, and for invariant violations: compound
-    entries with fewer than two parts, duplicate compound part sequences,
-    empty clitic rules, a variant table that is not idempotent (chained
-    entries a->b->c), or a compound part that is another surface's variant
-    base or a compound's replacement (either would make a second
-    normalization merge again). Those raise first, as such tables cannot be
-    built. Then `normalize(raw, tables, *ontologies)` must be a fixed point
-    under its clitic gate, which with no ontologies knows only the variant
-    keys. Each compound replacement, variant base and clitic expansion token,
-    after `radicalize`, must tokenize as itself (`x.y`, `x y`, `""` and
-    Arabic script do not) and no clitic rule may split it: with the compound
-    `a b -> ltwns`, `a b` would normalize to `ltwns` and that again to
-    `Ily twns` when an ontology knows `twns`. Nor may a clitic rule split a
-    surface the gate knows, as it can be left as a clitic's host: with the
-    instance `ltwns`, `mnltwns` would give `mn ltwns`, then `mn Ily twns`;
-    these findings come sorted. The hosts among the instances, which are
-    sorted by surface, are found by a binary search per clitic prefix.
+    Raises TablesError (exit 1) for bytes that are not UTF-8, bad JSON or a
+    section or field of the wrong JSON type (read by `reader`), and with
+    its findings (exit 2) for invariant violations: compound entries with
+    fewer than two parts, duplicate compound part sequences, empty clitic
+    rules, a variant table that is not idempotent (chained entries a->b->c),
+    or a compound part that is another surface's variant base or a compound's
+    replacement (either would make a second normalization merge again). Those
+    raise first, as such tables cannot be built. Then `normalize` with these
+    tables and `ontologies` must be a fixed point under its clitic gate, which
+    with no ontologies knows only the variant keys. Each compound replacement,
+    variant base and clitic expansion token, after `radicalize`, must tokenize
+    as itself (`x.y`, `x y`, `""` and Arabic script do not) and no clitic rule
+    may split it: with the compound `a b -> ltwns`, `a b` would normalize to
+    `ltwns` and that again to `Ily twns` when an ontology knows `twns`. Nor
+    may a clitic rule split a surface the gate knows, as it can be left as a
+    clitic's host: with the instance `ltwns`, `mnltwns` would give `mn ltwns`,
+    then `mn Ily twns`; these findings come sorted. The hosts among the
+    instances, sorted by surface, are found by a binary search per prefix.
     """
     path = Path(path)
     doc = read(path, TablesError)
@@ -180,11 +173,8 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
     compounds: list[CompoundRule] = []
     seen_parts: set[tuple[str, ...]] = set()
     for record in records("compounds"):
-        # type checked inline; `field` reads a record that fails, for its message
-        parts = strings(record.get("parts")) or field(record, "parts", "compound", (), array=True)
-        replacement = record.get("replacement", "_".join(parts))
-        if type(replacement) is not str:
-            field(record, "replacement", "compound")  # raises
+        parts = field(record, "parts", "compound", (), array=True)
+        replacement = field(record, "replacement", "compound", "_".join(parts))
         if len(parts) < 2:
             findings.append(f"compound {parts!r} needs at least two parts")
         if parts in seen_parts:
@@ -206,10 +196,8 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
 
     clitics: list[CliticRule] = []
     for record in records("clitics"):
-        prefix = record.get("prefix", "")
-        if type(prefix) is not str:
-            field(record, "prefix", "clitic")  # raises
-        expansion = strings(record.get("expansion")) or field(record, "expansion", "clitic", (), array=True)
+        prefix = field(record, "prefix", "clitic", "")
+        expansion = field(record, "expansion", "clitic", (), array=True)
         if not prefix:
             findings.append("clitic rule with empty prefix")
         if not expansion:

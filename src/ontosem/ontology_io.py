@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ._input import EXIT_VALIDATION, InputError, read, reader
+from ._input import InputError, read, reader
 from .ontology import (
     Concept,
     Finding,
@@ -41,13 +41,9 @@ class OntologyFormatError(InputError):
 class OntologyValidationError(InputError):
     """Structurally parseable ontology that violates model invariants."""
 
-    exit_code = EXIT_VALIDATION
-
     def __init__(self, findings: list[Finding], subject: str):
         """`subject` names what failed, file first: `<path>: ontology`."""
-        self.findings = findings
-        lines = "; ".join(str(f) for f in findings)
-        super().__init__(f"{subject} failed validation: {lines}")
+        super().__init__(f"{subject} failed validation", findings)
 
 
 def parse_ontology_file(path: str | Path) -> Ontology:

@@ -284,13 +284,34 @@ def test_eval_from_counts_prints_reference_table(out, capsys):
     }
 
 
-def test_eval_from_counts_rejects_garbage(out):
-    assert run(["eval", "--from-counts", "4,5", "--out", str(out)]) == 1
+@pytest.mark.parametrize("value, message", [
+    ("4,5", "not enough values to unpack (expected 4, got 2)"),
+    ("1,2,3,4,5", "too many values to unpack (expected 4)"),
+    ("448,14,208,671", "total 671 != correct+incorrect+not_recognized 670"),
+    # a count is ASCII digits, as a gold token index; `int` would take these
+    ("+448,14,208,670", "count '+448' is not an integer"),
+    ("4_48,14,208,670", "count '4_48' is not an integer"),
+    ("\u0664\u0664\u0668,14,208,670", "count '\u0664\u0664\u0668' is not an integer"),
+    ("448,14,208,-670", "count '-670' is not an integer"),
+    ("448,,208,670", "count '' is not an integer"),
+    ("a,b,c,d", "count 'a' is not an integer"),
+])
+def test_eval_from_counts_refuses_a_bad_value(out, capsys, value, message):
+    assert run(["eval", "--from-counts", value, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"ontosem: bad --from-counts value: {message}\n")
+    assert not out.exists()
 
 
-def test_eval_requires_input_and_gold(out):
-    assert run(["eval", "--in", str(samples.corpus_path()), "--out", str(out)]) == 1
-    assert run(["eval", "--gold", str(samples.gold_path()), "--out", str(out)]) == 1
+def test_eval_from_counts_strips_each_count(out):
+    assert run(["eval", "--from-counts", " 448, 14 ,208 ,670 ", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["counts"]["total"] == 670
+
+
+def test_eval_requires_input_and_gold(out, capsys):
+    for argv in (["--in", str(samples.corpus_path())], ["--gold", str(samples.gold_path())]):
+        assert run(["eval", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "ontosem: eval requires --in and --gold (or --from-counts)\n")
+        assert not out.exists()
 
 
 def test_eval_refuses_a_malformed_gold_file_before_running_the_pipeline(out, tmp_path, capsys, monkeypatch):
@@ -635,7 +656,15 @@ REFUSALS = {
     "ontology-validation": (
         OntologyValidationError([Finding("taxonomy-cycle", "concept 'A' is its own ancestor")], "o.json: ontology"), 2
     ),
+    "input-findings": (InputError("m", ["f1", "f2"]), 2),
 }
+
+
+def test_a_refusal_joins_its_findings_to_its_message():
+    error = InputError("m", ["f1", "f2"])
+    assert (str(error), error.findings, error.exit_code) == ("m: f1; f2", ["f1", "f2"], 2)
+    plain = CorpusFormatError("m")
+    assert (str(plain), plain.findings, plain.exit_code) == ("m", [], 1)
 
 
 @pytest.mark.parametrize("refusal", REFUSALS)

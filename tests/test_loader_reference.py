@@ -258,7 +258,7 @@ def test_the_documents_hold_what_the_property_needs(tmp_path, reason):
         got = outcome(reference_load, path)
         return reason == "loaded" if isinstance(got, Ontology) else reason in got[1]
 
-    find(ontology_documents(), holds, settings=settings(database=None, phases=[Phase.generate]))
+    find(ontology_documents(), holds, settings=settings(database=None, phases=[Phase.generate], max_examples=1000))
 
 
 def test_a_surface_claimed_twice_unites_its_sets_in_the_index(tmp_path):

@@ -94,3 +94,33 @@ def test_no_module_imports_a_private_name_of_another():
         if alias.name.startswith("_")
     ]
     assert imported == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # no linter runs on the package: each imported name is read in its
+    # module, except on a line marked `# noqa: F401` (kept for other code)
+    unused = []
+    for path in sorted((SRC / "ontosem").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            if "# noqa: F401" in "".join(source.splitlines()[node.lineno - 1:node.end_lineno]):
+                continue
+            names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            unused += [f"{path.name}: {name}" for name in names if name not in used]
+    assert unused == []
+
+
+def test_only_the_input_module_assigns_an_exit_code():
+    # a refusal's exit code follows from its findings, in `InputError`
+    assigning = sorted({
+        path.name
+        for path in (SRC / "ontosem").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(getattr(node, "ctx", None), ast.Store)
+        and "exit_code" in (getattr(node, "id", None), getattr(node, "attr", None))
+    })
+    assert assigning == ["_input.py"]
