@@ -162,7 +162,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluate import (AlignmentError, EvaluationCounts, counts_to_document, render_counts_table,
                            render_report, report, report_to_document)
 
-    if args.from_counts:
+    if args.from_counts is not None:
         parts = [part.strip() for part in args.from_counts.split(",")]
         try:  # ASCII digits only, as a gold token index: `int` also takes a sign, `_` and other digits
             if bad := [part for part in parts if not (part.isascii() and part.isdigit())]:

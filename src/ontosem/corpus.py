@@ -9,7 +9,8 @@ with a blank line between utterances. Token indexes are zero-based and refer
 to the *normalized* token sequence. The gold label is a concept name, the
 reserved marker label `Semantic_Relation`, or the reserved label `OOV` for
 tokens that have no in-domain meaning. Lines starting with `#` are header or
-comment lines in both formats.
+comment lines in both formats. `load_gold` shares one GoldToken per distinct
+(surface, label) in a file.
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ def load_gold(path: str | Path, *ontologies: Ontology) -> dict[str, GoldUtteranc
     path = Path(path)
     known = {SEMANTIC_RELATION_LABEL, OOV_LABEL}.union(*(o.concept_names for o in ontologies))
     grouped: dict[str, list[GoldToken]] = {}
+    shared: dict[GoldToken, GoldToken] = {}
     block = None  # the id of the utterance the previous token line belongs to
     for lineno, line in _lines(path):
         parts = line.split("\t")
@@ -115,7 +117,8 @@ def load_gold(path: str | Path, *ontologies: Ontology) -> dict[str, GoldUtteranc
             raise CorpusFormatError(
                 f"{path}:{lineno}: token index {index} out of order (expected {len(tokens)})"
             )
-        tokens.append(GoldToken(surface, label))
+        token = GoldToken(surface, label)
+        tokens.append(shared.setdefault(token, token))
     return {uid: GoldUtterance(id=uid, tokens=tuple(tokens)) for uid, tokens in grouped.items()}
 
 

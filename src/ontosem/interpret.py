@@ -10,7 +10,10 @@ preferred by default (`tie_break="left"`); markers triggering several
 relations try them in sorted id order.
 
 Interpretation is strictly local to one utterance; no dialogue context is
-consulted.
+consulted. `interpret_all` shares one UNCHANGED Resolution per candidate set
+and one resolved TokenAnnotation per (surface, label) across its call, and
+an utterance with nothing resolved keeps its tokens tuple; `interpret` does
+the same within one call and keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -84,14 +87,8 @@ def resolve_token(
         for relation_id in sorted(annotated.tokens[j].relation_ids):
             target = relation_target(relation_id, ontologies)
             if target in candidates:
-                return Resolution(
-                    outcome=RESOLVED,
-                    candidates=candidates,
-                    label=target,
-                    via_relation=relation_id,
-                    relation_token_index=j,
-                )
-    return Resolution(outcome=UNRESOLVED, candidates=candidates)
+                return Resolution(RESOLVED, candidates, target, relation_id, j)
+    return Resolution(UNRESOLVED, candidates)
 
 
 def interpret(
@@ -106,29 +103,41 @@ def interpret(
     domain/task pair costs the same as passing their merge.
     """
     _prefers_left(tie_break)
+    return _interpret(annotated, ontologies, tie_break, {})
+
+
+def _interpret(
+    annotated: AnnotatedUtterance, ontologies: Sequence[Ontology], tie_break: str, memo: dict
+) -> InterpretedUtterance:
+    """`interpret`'s loop; `memo` maps a candidate set to its UNCHANGED Resolution
+    and a (surface, label) pair to its resolved TokenAnnotation."""
     consumed: set[int] = set()
     tokens: list[TokenAnnotation] = []
     resolutions: list[Resolution] = []
 
     for index, token in enumerate(annotated.tokens):
         if token.status is not Status.AMBIGUOUS:
-            resolution = Resolution(outcome=UNCHANGED, candidates=token.labels)
+            if (resolution := memo.get(token.labels)) is None:
+                resolution = memo[token.labels] = Resolution(UNCHANGED, token.labels)
         else:
             resolution = resolve_token(index, annotated, ontologies, consumed, tie_break=tie_break)
             if resolution.outcome == RESOLVED:
-                assert resolution.relation_token_index is not None
                 consumed.add(resolution.relation_token_index)
-                token = TokenAnnotation(token.surface, frozenset({resolution.label}), EMPTY, Status.LABELED)
+                key = (token.surface, resolution.label)
+                if key not in memo:
+                    memo[key] = TokenAnnotation(token.surface, frozenset({resolution.label}), EMPTY, Status.LABELED)
+                token = memo[key]
         tokens.append(token)
         resolutions.append(resolution)
 
-    return InterpretedUtterance(
-        id=annotated.id, tokens=tuple(tokens), resolutions=tuple(resolutions)
-    )
+    return InterpretedUtterance(annotated.id, tuple(tokens) if consumed else annotated.tokens, tuple(resolutions))
 
 
 def interpret_all(
     utterances: Iterable[AnnotatedUtterance], *ontologies: Ontology, tie_break: str = "left"
 ) -> list[InterpretedUtterance]:
+    """`interpret` of each utterance, with one memo for the call: equal
+    UNCHANGED resolutions and equal resolved tokens are shared across it."""
     _prefers_left(tie_break)
-    return [interpret(u, *ontologies, tie_break=tie_break) for u in utterances]
+    memo: dict = {}
+    return [_interpret(u, ontologies, tie_break, memo) for u in utterances]

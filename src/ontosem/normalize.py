@@ -142,17 +142,18 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
     the ones `normalize` will be given.
 
     Raises TablesError (exit 1) for bytes that are not UTF-8, bad JSON or a
-    section or field of the wrong JSON type (read by `reader`), and with
-    its findings (exit 2) for invariant violations: compound entries with
-    fewer than two parts, duplicate compound part sequences, empty clitic
-    rules, a variant table that is not idempotent (chained entries a->b->c),
-    or a compound part that is another surface's variant base or a compound's
-    replacement (either would make a second normalization merge again). Those
-    raise first, as such tables cannot be built. Then `normalize` with these
-    tables and `ontologies` must be a fixed point under its clitic gate, which
-    with no ontologies knows only the variant keys. Each compound replacement,
-    variant base and clitic expansion token, after `radicalize`, must tokenize
-    as itself (`x.y`, `x y`, `""` and Arabic script do not) and no clitic rule
+    section or field of the wrong JSON type (read by `reader`), and with its
+    findings (exit 2) for invariant violations: compound entries with fewer
+    than two parts, duplicate compound part sequences, clitic rules with an
+    empty expansion or an empty or repeated prefix, a variant table that is
+    not idempotent (chained entries a->b->c), or a compound part that is
+    another surface's variant base or a compound's replacement (either would
+    make a second normalization merge again). Those raise first, as such
+    tables cannot be built. Then `normalize` with these tables and
+    `ontologies` must be a fixed point under its clitic gate, which with no
+    ontologies knows only the variant keys. Each compound replacement, variant
+    base and clitic expansion token, after `radicalize`, must tokenize as
+    itself (`x.y`, `x y`, `""` and Arabic script do not) and no clitic rule
     may split it: with the compound `a b -> ltwns`, `a b` would normalize to
     `ltwns` and that again to `Ily twns` when an ontology knows `twns`. Nor
     may a clitic rule split a surface the gate knows, as it can be left as a
@@ -200,6 +201,8 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
         expansion = field(record, "expansion", "clitic", (), array=True)
         if not prefix:
             findings.append("clitic rule with empty prefix")
+        elif any(rule.prefix == prefix for rule in clitics):
+            findings.append(f"clitic prefix {prefix!r} declared more than once")
         if not expansion:
             findings.append(f"clitic rule {prefix!r} with empty expansion")
         clitics.append(CliticRule(prefix, expansion))

@@ -294,6 +294,7 @@ def test_eval_from_counts_prints_reference_table(out, capsys):
     ("\u0664\u0664\u0668,14,208,670", "count '\u0664\u0664\u0668' is not an integer"),
     ("448,14,208,-670", "count '-670' is not an integer"),
     ("448,,208,670", "count '' is not an integer"),
+    ("", "count '' is not an integer"),  # given, though empty: not "eval requires --in and --gold"
     ("a,b,c,d", "count 'a' is not an integer"),
 ])
 def test_eval_from_counts_refuses_a_bad_value(out, capsys, value, message):
@@ -452,6 +453,18 @@ def test_compound_part_that_is_a_variant_base_exits_2(out, tmp_path, capsys):
         f"ontosem: {path}: invalid tables: "
         "compound ('OtrAn', 'X') part 'OtrAn' is the base of variant 'trAn'\n"
     )
+
+
+def test_clitic_prefix_declared_twice_exits_2(out, tmp_path, capsys):
+    # rules are tried longest prefix first, ties in file order: `l -> [ElY]` could never fire
+    def mutate(doc):
+        doc["clitics"].append({"prefix": "l", "expansion": ["ElY"]})
+
+    path = _bundled_with("--tables", tmp_path, mutate)
+    corpus = ["--in", str(samples.corpus_path()), "--gold", str(samples.gold_path())]
+    assert run(["eval", "--tables", str(path), "--out", str(out)] + corpus) == 2
+    assert capsys.readouterr().err == f"ontosem: {path}: invalid tables: clitic prefix 'l' declared more than once\n"
+    assert not out.exists()
 
 
 # each makes a surface that a clitic rule splits on a second normalization;

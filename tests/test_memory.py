@@ -2,13 +2,17 @@
 instance, measured with tracemalloc.
 
 The per-token and per-record types are NamedTuples, annotation shares the
-ontology index's label sets, and `annotate_all` shares one `TokenAnnotation`
-per distinct surface, so a batch's results hold about 514 B per token
-(Python 3.11; about 593 B with a `TokenAnnotation` per token, about 1,170 B
-with a `__dict__` per record and fresh sets per token). The bound sits
-between the first two figures: it fails on a `TokenAnnotation` per token
-again, on a record type that gains a `__dict__` or on new per-token
-allocation, and is deterministic, unlike a process-wide peak RSS.
+ontology index's label sets, `annotate_all` shares one `TokenAnnotation` per
+distinct surface, and `interpret_all` shares one unchanged `Resolution` per
+candidate set and one resolved `TokenAnnotation` per (surface, label). So a
+batch's results hold about 361 B per token (Python 3.11; about 440 B when
+`annotate` builds a `TokenAnnotation` per token, about 497 B when
+`interpret_all` builds its records afresh per token, about 1,170 B with a
+`__dict__` per record and fresh sets per token), of which `interpret_all`'s
+output is about 84 B (221 B built afresh). The bounds sit between those
+figures: they fail on a record per token again, on a record type that gains
+a `__dict__` or on new per-token allocation, and are deterministic, unlike a
+process-wide peak RSS.
 """
 
 import gc
@@ -35,7 +39,8 @@ from ontosem.normalize import (
 from ontosem.ontology import Concept, Finding, Instance, Ontology, Relation, TaxonomyEdge, lookup
 from ontosem.ontology_io import load_ontology
 
-BYTES_PER_TOKEN_BOUND = 560
+BYTES_PER_TOKEN_BOUND = 400
+INTERPRETED_BYTES_PER_TOKEN_BOUND = 100
 COPIES = 40
 BYTES_PER_INSTANCE_BOUND = 200
 INSTANCES = 20_000
@@ -52,14 +57,18 @@ def test_bytes_held_per_token(domain, task, tables):
         before = tracemalloc.get_traced_memory()[0]
         normalized = normalize_all(raws, tables, domain, task)
         annotated = annotate_all(normalized, domain, task)
+        gc.collect()
+        annotated_at = tracemalloc.get_traced_memory()[0]
         interpreted = interpret_all(annotated, domain, task)
         gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - before
+        held_at = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     tokens = sum(len(u.tokens) for u in normalized)
     assert len(interpreted) == len(raws) and tokens > 2000
-    assert held / tokens < BYTES_PER_TOKEN_BOUND, f"{held / tokens:.0f} B per token"
+    held, interpreted_held = (held_at - before) / tokens, (held_at - annotated_at) / tokens
+    assert held < BYTES_PER_TOKEN_BOUND, f"{held:.0f} B per token"
+    assert interpreted_held <= INTERPRETED_BYTES_PER_TOKEN_BOUND, f"interpret_all: {interpreted_held:.0f} B per token"
 
 
 def test_bytes_held_per_loaded_instance(tmp_path):

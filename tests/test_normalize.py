@@ -366,6 +366,7 @@ compound_rules = st.builds(
 generated_tables = st.builds(
     NormalizationTables,
     compounds=st.lists(compound_rules, max_size=8).map(tuple),
+    # one rule per prefix, as `load_tables` requires
     clitics=st.lists(
         st.builds(
             CliticRule,
@@ -373,6 +374,7 @@ generated_tables = st.builds(
             st.lists(st.sampled_from(("Ily", "mn")), min_size=1, max_size=2).map(tuple),
         ),
         max_size=3,
+        unique_by=lambda rule: rule.prefix,
     ).map(tuple),
     variants=st.dictionaries(surface, surface, max_size=3),
 )
@@ -433,6 +435,14 @@ def test_variant_chain_rejected_at_load(tmp_path):
     )
     with pytest.raises(TablesError, match="variant chain"):
         load_tables(path)
+
+
+def test_clitic_prefix_declared_twice_rejected_at_load(tmp_path, ontologies):
+    # the first rule of a prefix always wins, so `ltwns` could never give `ElY twns`
+    twice = NormalizationTables(clitics=(CliticRule("l", ("Ily",)), CliticRule("l", ("ElY",))))
+    assert two_passes("ltwns", twice, *ontologies)[0] == ["Ily", "twns"]
+    path = write_tables(tmp_path / "tables.json", twice)
+    assert load_findings(path, *ontologies) == load_findings(path) == ["clitic prefix 'l' declared more than once"]
 
 
 def test_compound_part_that_is_a_variant_base_rejected_at_load(tmp_path, ontologies):
@@ -752,7 +762,7 @@ tables_document = st.fixed_dictionaries({
     ), max_size=3),
     "clitics": st.lists(st.fixed_dictionaries(
         {"prefix": st.sampled_from(PREFIXES), "expansion": st.lists(word, min_size=1, max_size=2)}
-    ), max_size=3),
+    ), max_size=3, unique_by=lambda rule: rule["prefix"]),
     "variants": st.dictionaries(word, word, max_size=3),
 })
 

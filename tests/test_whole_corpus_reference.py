@@ -1,7 +1,8 @@
 """The whole-corpus functions do their per-token work once per distinct
 token: `annotate_all` annotates each distinct surface once, the XML writers
 render and check each distinct token once, the interpreted-TSV writer and
-`report` join and score each distinct reading once. The references below do
+`report` join and score each distinct reading once, and `interpret_all` and
+`load_gold` give equal readings one shared record. The references below do
 it once per token, and `load_gold`'s reference is its earlier per-line loop;
 on any input both must give the same result or raise the same error. The XML
 writers and `export_owl` check each piece as they build it; their reference
@@ -41,7 +42,15 @@ from ontosem.corpus import (
     load_gold,
 )
 from ontosem.evaluate import AlignmentError, EvaluationCounts, EvaluationReport, report
-from ontosem.interpret import RESOLVED, TIE_BREAKS, UNCHANGED, UNRESOLVED, UNRESOLVED_POLICIES, interpret
+from ontosem.interpret import (
+    RESOLVED,
+    TIE_BREAKS,
+    UNCHANGED,
+    UNRESOLVED,
+    UNRESOLVED_POLICIES,
+    interpret,
+    interpret_all,
+)
 from ontosem.ontology import EMPTY, Concept, Instance, Ontology, Relation, TaxonomyEdge
 from ontosem.serialize import (
     INTERPRETED_TSV_HEADER,
@@ -370,6 +379,80 @@ def test_successive_calls_over_different_pairs_give_each_pairs_own_labels():
     ]
 
 
+# -- interpret_all: one record per distinct reading -----------------------------------------
+
+
+@st.composite
+def annotated_corpora(draw):
+    """Annotated utterances over the pair, annotated one by one or by
+    `annotate_all`. An utterance may repeat an earlier one under a new id,
+    sharing its tokens tuple; a token may be a copy of its annotation with
+    a new surface string and label set equal to the old ones."""
+    utterances = []
+    for u in range(draw(st.integers(0, 6))):
+        uid = f"u{u}"
+        if utterances and draw(st.booleans()):
+            utterances.append(draw(st.sampled_from(utterances))._replace(id=uid))
+            continue
+        surfaces = draw(st.lists(st.sampled_from(SURFACES), max_size=8))
+        tokens = annotate(make_normalized(surfaces, uid=uid), DOMAIN, TASK).tokens
+        tokens = tuple(
+            t._replace(surface=(t.surface + "~")[:-1], labels=frozenset(list(t.labels)))
+            if draw(st.booleans()) else t
+            for t in tokens
+        )
+        utterances.append(AnnotatedUtterance(uid, tokens))
+    if draw(st.booleans()):
+        normalized = [make_normalized([t.surface for t in u.tokens], u.id) for u in utterances]
+        utterances = annotate_all(normalized, DOMAIN, TASK)
+    return utterances
+
+
+def _readings(utterances, tie_break):
+    return [
+        (token, resolution)
+        for u in utterances
+        for token, resolution in zip(*interpret(u, DOMAIN, TASK, tie_break=tie_break)[1:])
+    ]
+
+
+def _resolved(utterances):
+    return [(t.surface, r.label) for t, r in _readings(utterances, "left") if r.outcome == RESOLVED]
+
+
+@settings(max_examples=300, deadline=None)
+@given(annotated_corpora())
+def test_interpret_all_equals_interpret_per_utterance_and_shares_equal_readings(utterances):
+    for tie_break in TIE_BREAKS:
+        interpreted = interpret_all(utterances, DOMAIN, TASK, tie_break=tie_break)
+        assert interpreted == [interpret(u, DOMAIN, TASK, tie_break=tie_break) for u in utterances]
+        unchanged, resolved = {}, {}
+        for annotated, result in zip(utterances, interpreted):
+            if RESOLVED not in {r.outcome for r in result.resolutions}:
+                assert result.tokens is annotated.tokens
+            for token, resolution in zip(result.tokens, result.resolutions):
+                if resolution.outcome == UNCHANGED:
+                    assert unchanged.setdefault(resolution.candidates, resolution) is resolution
+                elif resolution.outcome == RESOLVED:
+                    assert resolved.setdefault((token.surface, resolution.label), token) is token
+
+
+@pytest.mark.parametrize("holds", [
+    # equal candidate sets left unchanged, as distinct objects
+    lambda c: any(
+        a.outcome == b.outcome == UNCHANGED and a.candidates == b.candidates and a.candidates is not b.candidates
+        for (_, a), (_, b) in itertools.combinations(_readings(c, "left"), 2)
+    ),
+    # one (surface, label) resolved twice, and a non-empty utterance with nothing resolved
+    lambda c: len(set(_resolved(c))) < len(_resolved(c)),
+    lambda c: any(u.tokens and RESOLVED not in {r.outcome for r in interpret(u, DOMAIN, TASK).resolutions} for u in c),
+    lambda c: _readings(c, "left") != _readings(c, "right"),
+], ids=["unchanged-equal-not-same", "resolved-twice", "nothing-resolved", "tie-breaks-differ"])
+def test_the_annotated_corpora_hold_what_the_property_needs(holds):
+    # 4 to 83 draws in 20 runs per case; the default budget of about 100 would be flaky
+    find(annotated_corpora(), holds, settings=settings(database=None, phases=[Phase.generate], max_examples=1000))
+
+
 # -- the XML writers check each piece once, in document order ---------------------------
 
 
@@ -552,6 +635,59 @@ def test_load_gold_equals_its_per_line_reference(gold_dir, lines, with_pair):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     ontologies = (DOMAIN, TASK) if with_pair else ()
     assert _loaded(load_gold, path, ontologies) == _loaded(reference_load_gold, path, ontologies)
+
+
+@st.composite
+def gold_files(draw):
+    """Gold files whose utterances may repeat earlier ones under a new id and
+    whose readings repeat, with fields padded at random; one line may be
+    malformed."""
+    pad = st.sampled_from(["", " ", "\u3000"])
+    blocks = []
+    for u in range(draw(st.integers(0, 5))):
+        if blocks and draw(st.booleans()):
+            readings = draw(st.sampled_from(blocks))
+        else:
+            reading = st.tuples(st.sampled_from(SURFACES), st.sampled_from(GOLD_LABELS))
+            readings = draw(st.lists(reading, min_size=1, max_size=6))
+        blocks.append(readings)
+    lines = [
+        f"{draw(pad)}u{u}\t{i}\t{surface}{draw(pad)}\t{draw(pad)}{label}"
+        for u, readings in enumerate(blocks)
+        for i, (surface, label) in enumerate(readings)
+    ]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(GOLD_LINES)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(gold_files(), st.booleans())
+def test_load_gold_shares_equal_tokens_and_refuses_as_its_reference_does(gold_dir, text, with_pair):
+    path = gold_dir / "g.tsv"
+    path.write_text(text, encoding="utf-8")
+    ontologies = (DOMAIN, TASK) if with_pair else ()
+    loaded = _loaded(load_gold, path, ontologies)
+    assert loaded == _loaded(reference_load_gold, path, ontologies)
+    if isinstance(loaded, dict):
+        shared = {}
+        assert all(shared.setdefault(t, t) is t for u in loaded.values() for t in u.tokens)
+
+
+def _gold_tokens(text, tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text(text, encoding="utf-8")
+    loaded = _loaded(reference_load_gold, path, ())
+    return [t for u in loaded.values() for t in u.tokens] if isinstance(loaded, dict) else None
+
+
+@pytest.mark.parametrize("holds", [
+    lambda tokens: tokens is not None and len(set(tokens)) < len(tokens),
+    lambda tokens: tokens is None,
+], ids=["repeated-reading", "refused"])
+def test_the_gold_files_hold_what_the_property_needs(tmp_path, holds):
+    find(gold_files(), lambda text: holds(_gold_tokens(text, tmp_path)),
+         settings=settings(database=None, phases=[Phase.generate], max_examples=1000))
 
 
 VALID_GOLD = "# gold\nu1\t0\tpln\tC3\nu1\t1\tamb\tC1\n\t\n u2 \t 0\tzzz \t OOV\n\nu1x\t0\tm1\tSemantic_Relation\n"
