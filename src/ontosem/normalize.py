@@ -35,8 +35,7 @@ given the ontologies `normalize` will be passed.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
-from itertools import chain, product
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -158,8 +157,8 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
     `ltwns` and that again to `Ily twns` when an ontology knows `twns`. Nor
     may a clitic rule split a surface the gate knows, as it can be left as a
     clitic's host: with the instance `ltwns`, `mnltwns` would give `mn ltwns`,
-    then `mn Ily twns`; these findings come sorted. The hosts among the
-    instances, sorted by surface, are found by a binary search per prefix.
+    then `mn Ily twns`; these findings come sorted. The hosts are the known
+    surfaces, instances, variant keys and triggers, that start with a prefix.
     """
     path = Path(path)
     doc = read(path, TablesError)
@@ -173,6 +172,7 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
     findings: list[str] = []
     compounds: list[CompoundRule] = []
     seen_parts: set[tuple[str, ...]] = set()
+    replaced: dict[str, tuple[str, ...]] = {}
     for record in records("compounds"):
         parts = field(record, "parts", "compound", (), array=True)
         replacement = field(record, "replacement", "compound", "_".join(parts))
@@ -184,16 +184,12 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
         for part in parts:
             if part in bases:
                 findings.append(f"compound {parts!r} part {part!r} is the base of variant {bases[part]!r}")
+        replaced.setdefault(replacement, parts)
         compounds.append(CompoundRule(parts, replacement))
-    replaced = {}
-    for rule in compounds:
-        replaced.setdefault(rule.replacement, rule.parts)
-    for rule in compounds:
-        for part in rule.parts:
-            if part in replaced:
-                findings.append(
-                    f"compound {rule.parts!r} part {part!r} is the replacement of compound {replaced[part]!r}"
-                )
+    findings += [
+        f"compound {rule.parts!r} part {part!r} is the replacement of compound {replaced[part]!r}"
+        for rule in compounds for part in rule.parts if part in replaced
+    ]
 
     clitics: list[CliticRule] = []
     for record in records("clitics"):
@@ -229,11 +225,9 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
         elif pieces := surface.startswith(prefixes) and _expand_surface(surface, tables, known):
             findings.append(f"{kind} {key!r} emits {surface!r}, which a second pass splits into {[t.surface for t in pieces]!r}")
     # a surface a variant rewrites leaves as its base, checked above as emitted
-    hosts = {s for s in chain(variants, *(r.triggers for o in ontologies for r in o.relations)) if s.startswith(prefixes)}
-    for instances, prefix in product([o.instances for o in ontologies], prefixes):
-        head = lambda instance: instance.surface[:len(prefix)]
-        start = bisect_left(instances, prefix, key=head)
-        hosts.update(i.surface for i in instances[start:bisect_right(instances, prefix, start, key=head)])
+    triggers = (r.triggers for o in ontologies for r in o.relations)
+    vocabulary = chain(variants, *(o.instances.surfaces for o in ontologies), *triggers)
+    hosts = {s for s in vocabulary if s.startswith(prefixes)}
     for host in sorted(hosts):
         if radicalize(host, tables) == host and (pieces := _expand_surface(host, tables, known)):
             findings.append(f"known surface {host!r} is a clitic host that a second pass splits into {[t.surface for t in pieces]!r}")

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, KeysView, NamedTuple, Sequence
 
 DOMAIN = "domain"
 TASK = "task"
@@ -66,35 +65,70 @@ class Finding(NamedTuple):
         return f"{self.code}: {self.detail}"
 
 
+class Instances:
+    """An ontology's instance records, derived on demand, sorted by surface
+    with ties in file order, from its surface index (each surface's concept
+    set) and the claims of each surface claimed more than once. Any other
+    surface's index entry is its one record: each instance is held once."""
+
+    __slots__ = ("_index", "_claims")
+
+    def __init__(self, pairs: Iterable[tuple[str, frozenset[str]]]):
+        self._index, self._claims = index, claims = {}, {}
+        for surface, concepts in pairs:
+            if surface in index:
+                claims.setdefault(surface, [index[surface]]).append(concepts)
+                concepts = index[surface] | concepts
+            index[surface] = concepts
+
+    @property
+    def surfaces(self) -> KeysView[str]:
+        """Each surface once, unsorted: a read-only view of the index keys."""
+        return self._index.keys()
+
+    def __iter__(self) -> Iterator[Instance]:
+        index, claims = self._index, self._claims
+        return (Instance(s, c) for s in sorted(index) for c in claims.get(s, (index[s],)))
+
+    def __len__(self) -> int:
+        return len(self._index) + sum(len(c) - 1 for c in self._claims.values())
+
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, Instances) else other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class _Collections(NamedTuple):
     concepts: tuple[Concept, ...]
     taxonomy: tuple[TaxonomyEdge, ...]
-    instances: tuple[Instance, ...]
+    instances: Instances
     relations: tuple[Relation, ...]
 
 
 class Ontology(_Collections):
-    """Immutable ontology; collections are stored in canonical sorted order.
+    """Immutable ontology; collections are stored in canonical sorted order,
+    the instances as their surface index (see `Instances`).
 
     Construction normalizes ordering so that structural equality and
     serialization are independent of the order records were supplied in.
     Query helpers assume a validated ontology (see validate()); on malformed
     data they still terminate but results follow first-declaration-wins rules.
-    The indexes are built on first use and kept in the instance `__dict__`;
-    `surface_index`, if given, is the one `read_instances` built with `instances`.
+    The other indexes are built on first use and kept in the instance `__dict__`.
     """
 
-    def __new__(cls, concepts=(), taxonomy=(), instances=(), relations=(), *, surface_index=None):
-        ontology = super().__new__(
+    def __new__(cls, concepts=(), taxonomy=(), instances=(), relations=()):
+        return super().__new__(
             cls,
             tuple(sorted(concepts, key=lambda c: (c.name, c.kind, c.gloss or ""))),
             tuple(sorted(taxonomy)),
-            tuple(sorted(instances, key=itemgetter(0))),
+            instances if isinstance(instances, Instances) else Instances(instances),
             tuple(sorted(relations, key=lambda r: r.id)),
         )
-        if surface_index is not None:
-            ontology.__dict__["_instances_by_surface"] = surface_index
-        return ontology
 
     @classmethod
     def _make(cls, iterable) -> "Ontology":  # `_replace` calls it: sort there too
@@ -105,15 +139,6 @@ class Ontology(_Collections):
     @cached_property
     def concept_names(self) -> frozenset[str]:
         return frozenset(c.name for c in self.concepts)
-
-    @cached_property
-    def _instances_by_surface(self) -> dict[str, frozenset[str]]:
-        """Each surface's concept set: the record's own unless a second record claims the surface."""
-        index: dict[str, frozenset[str]] = {}
-        for surface, concepts in self.instances:
-            if index.setdefault(surface, concepts) is not concepts:
-                index[surface] = index[surface] | concepts
-        return index
 
     @cached_property
     def _relations_by_trigger(self) -> dict[str, frozenset[str]]:
@@ -131,13 +156,12 @@ class Ontology(_Collections):
         return index
 
 
-def read_instances(records: Iterable[dict], field: Callable) -> tuple[list[Instance], dict[str, frozenset[str]]]:
-    """The instances of the JSON `records` and their surface index, built in
-    one pass. Equal concept lists share one set (a lexicon has few); `field`,
-    the file's reader, runs only on a record that fails the inline type check
-    and on a list not seen before, so every message is the reader's own."""
+def read_instances(records: Iterable[dict], field: Callable) -> Iterator[tuple[str, frozenset[str]]]:
+    """The (surface, concept set) pair of each instance of the JSON `records`.
+    Equal concept lists share one set (a lexicon has few); `field`, the
+    file's reader, runs only on a record that fails the inline type check and
+    on a list not seen before, so every message is the reader's own."""
     shared: dict[tuple[str, ...], frozenset[str]] = {}
-    instances, index = [], {}
     for r in records:
         surface, names = r.get("surface"), r.get("concepts")
         if type(surface) is not str or type(names) is not list:
@@ -148,10 +172,7 @@ def read_instances(records: Iterable[dict], field: Callable) -> tuple[list[Insta
             members = shared[key]
         except (KeyError, TypeError):  # TypeError: the list holds an unhashable value
             members = shared[key] = frozenset(field(r, "concepts", "instance", array=True))
-        instances.append(Instance(surface, members))
-        if index.setdefault(surface, members) is not members:
-            index[surface] = index[surface] | members
-    return instances, index
+        yield surface, members
 
 
 def lookup(
@@ -163,7 +184,7 @@ def lookup(
     new set is built only when two ontologies both know the surface."""
     labels = relation_ids = EMPTY
     for ontology in ontologies:
-        if found := ontology._instances_by_surface.get(surface):
+        if found := ontology.instances._index.get(surface):
             labels = labels | found if labels else found
         if found := ontology._relations_by_trigger.get(surface):
             relation_ids = relation_ids | found if relation_ids else found
@@ -203,9 +224,8 @@ def merge(*ontologies: Ontology) -> Ontology:
             if known is None or (known.gloss is None and concept.gloss is not None):
                 concepts[key] = concept
         edges.update(ontology.taxonomy)
-        for instance in ontology.instances:
-            merged = instance_concepts.get(instance.surface, frozenset())
-            instance_concepts[instance.surface] = merged | instance.concepts
+        for surface, members in ontology.instances._index.items():
+            instance_concepts[surface] = instance_concepts.get(surface, EMPTY) | members
         for relation in ontology.relations:
             known = relations.get(relation.id)
             if known is None:
@@ -216,9 +236,7 @@ def merge(*ontologies: Ontology) -> Ontology:
     return Ontology(
         concepts=tuple(concepts.values()),
         taxonomy=tuple(edges),
-        instances=tuple(
-            Instance(surface, members) for surface, members in instance_concepts.items()
-        ),
+        instances=instance_concepts.items(),
         relations=tuple(relations.values()) + tuple(conflicting_relations),
     )
 
@@ -231,8 +249,8 @@ def validate(ontology: Ontology) -> list[Finding]:
     surface claims, empty collections where content is required, and surface
     forms claimed both as an instance and as a relation trigger. An empty list
     means the ontology is well-formed.
-    The instances are checked as a whole, per distinct concept set, and one
-    by one only when that fails, to list each finding in order.
+    The instances are checked as a whole, through the claims and per distinct
+    concept set, and one by one, to list each finding in order, only if that fails.
     """
     findings: list[Finding] = []
     add = findings.append
@@ -261,8 +279,8 @@ def validate(ontology: Ontology) -> list[Finding]:
     for node in _cycle_nodes(parents_of):
         add(Finding("taxonomy-cycle", f"concept {node!r} is its own ancestor"))
 
-    index = ontology._instances_by_surface
-    if len(index) < len(ontology.instances) or "" in index or not all(c and c <= known for c in set(index.values())):
+    index = ontology.instances._index
+    if ontology.instances._claims or "" in index or not all(c and c <= known for c in set(index.values())):
         surfaces_seen: set[str] = set()
         for instance in ontology.instances:
             if not instance.surface:
@@ -308,7 +326,7 @@ def trigger_instance_overlap(ontologies: Sequence[Ontology]) -> list[Finding]:
     return [
         Finding("trigger-instance-overlap", f"surface {surface!r} is both an instance and a trigger of relation {claims[surface]!r}")
         for surface in sorted(claims)
-        if any(surface in ontology._instances_by_surface for ontology in ontologies)
+        if any(surface in ontology.instances._index for ontology in ontologies)
     ]
 
 

@@ -25,6 +25,7 @@ from ._input import InputError, read, reader
 from .ontology import (
     Concept,
     Finding,
+    Instances,
     KINDS,
     Ontology,
     Relation,
@@ -75,7 +76,7 @@ def parse_ontology_file(path: str | Path) -> Ontology:
         )
         for r in records("taxonomy")
     )
-    instances, surface_index = read_instances(records("instances"), field)
+    instances = Instances(read_instances(records("instances"), field))
     relations = tuple(
         Relation(
             id=field(r, "id", "relation"),
@@ -85,7 +86,7 @@ def parse_ontology_file(path: str | Path) -> Ontology:
         )
         for r in records("relations")
     )
-    return Ontology(concepts, taxonomy, instances, relations, surface_index=surface_index)
+    return Ontology(concepts, taxonomy, instances, relations)
 
 
 def load_ontology(path: str | Path) -> Ontology:

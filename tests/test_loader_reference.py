@@ -1,10 +1,12 @@
-"""`load_ontology` reads the instances in one pass, building the surface index
-as it goes, and `validate` checks them per distinct concept set, one by one
+"""`load_ontology` reads the instances in one pass into the surface index,
+noting only the claims `validate` lists one by one, and derives the records
+when asked; `validate` checks the index per distinct concept set, one by one
 only when that check fails. The references below are the earlier loader: a
-field reader that checks each record through the generic reader, a separate
-`validate` loop over every instance, and `lookup` answers read off the
-records by a scan. On any document both must raise the same error or build
-equal ontologies that answer every lookup alike."""
+field reader that checks each record through the generic reader, the
+records sorted by surface, a separate `validate` loop over every instance,
+and `lookup` answers read off the records by a scan. On any document both
+must raise the same error or build equal ontologies with the same records
+that answer every lookup alike."""
 
 from __future__ import annotations
 
@@ -166,6 +168,16 @@ def reference_load(path):
     return ontology
 
 
+def reference_records(path):
+    """The instance records `reference_parse` reads, sorted by surface with ties in file order."""
+    records, field = reference_reader(read(Path(path), OntologyFormatError), str(path), OntologyFormatError)
+    instances = [
+        Instance(field(r, "surface", "instance"), frozenset(field(r, "concepts", "instance", array=True)))
+        for r in records("instances")
+    ]
+    return tuple(sorted(instances, key=lambda i: i.surface))
+
+
 def reference_lookup(surface, ontology):
     labels = frozenset().union(*(i.concepts for i in ontology.instances if i.surface == surface))
     relation_ids = frozenset(r.id for r in ontology.relations if surface in r.triggers)
@@ -232,6 +244,7 @@ def test_property_load_ontology_equals_the_earlier_loader(tmp_path_factory, doc)
         got, want = outcome(load, path), outcome(reference, path)
         assert got == want
         if isinstance(want, Ontology):
+            assert tuple(got.instances) == reference_records(path)
             for surface in SURFACES + ("second",):
                 assert lookup(surface, [got]) == reference_lookup(surface, want)
 
@@ -259,6 +272,25 @@ def test_the_documents_hold_what_the_property_needs(tmp_path, reason):
         return reason == "loaded" if isinstance(got, Ontology) else reason in got[1]
 
     find(ontology_documents(), holds, settings=settings(database=None, phases=[Phase.generate], max_examples=1000))
+
+
+@pytest.mark.parametrize("surface, claims", [("shared", 3), ("", 2)])
+def test_a_surface_claimed_again_is_listed_as_the_earlier_validate_lists_it(tmp_path, surface, claims):
+    """A drawn document whose instance records claim `surface` `claims` times
+    parses; `validate` lists its findings as the earlier validate does."""
+    path = tmp_path / "doc.json"
+
+    def holds(doc):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        parsed = outcome(reference_parse, path)
+        return isinstance(parsed, Ontology) and [i.surface for i in reference_records(path)].count(surface) == claims
+
+    doc = find(ontology_documents(), holds, settings=settings(database=None, phases=[Phase.generate], max_examples=2000))
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    parsed = parse_ontology_file(path)
+    assert tuple(parsed.instances) == reference_records(path)
+    assert validate(parsed) == reference_validate(reference_parse(path))
+    assert Finding("duplicate-surface", f"surface {surface!r} claimed by more than one instance record") in validate(parsed)
 
 
 def test_a_surface_claimed_twice_unites_its_sets_in_the_index(tmp_path):

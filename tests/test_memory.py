@@ -42,7 +42,7 @@ from ontosem.ontology_io import load_ontology
 BYTES_PER_TOKEN_BOUND = 400
 INTERPRETED_BYTES_PER_TOKEN_BOUND = 100
 COPIES = 40
-BYTES_PER_INSTANCE_BOUND = 200
+BYTES_PER_INSTANCE_BOUND = 100
 INSTANCES = 20_000
 
 
@@ -72,9 +72,11 @@ def test_bytes_held_per_token(domain, task, tables):
 
 
 def test_bytes_held_per_loaded_instance(tmp_path):
-    """Instances with equal concept lists share one set, so a loaded lexicon
-    holds about 130 B per instance, surface index included (about 430 B with
-    a set per record). The bound fails on a set per record again."""
+    """Instances with equal concept lists share one set and a loaded lexicon
+    keeps only its surface index, the records derived when asked, so it holds
+    about 76 B per instance (about 148 B with an `Instance` record per
+    instance beside the index, about 430 B with a set per record as well).
+    The bound fails on a record or a set per instance again."""
     lists = [["Alpha"], ["Beta"], ["Alpha", "Gamma"], ["Beta", "Gamma"]]
     doc = {
         "format_version": 1,
@@ -92,12 +94,13 @@ def test_bytes_held_per_loaded_instance(tmp_path):
     try:
         before = tracemalloc.get_traced_memory()[0]
         ontology = load_ontology(path)
-        assert lookup("w00000", [ontology])[0] == {"Alpha"}  # builds the lazy surface index
+        assert lookup("w00000", [ontology])[0] == {"Alpha"}  # reads the index the load built
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(ontology.instances) == INSTANCES
+    # every record is its index entry: counted without deriving a record
+    assert len(ontology.instances) == len(ontology.instances.surfaces) == INSTANCES
     assert held / INSTANCES < BYTES_PER_INSTANCE_BOUND, f"{held / INSTANCES:.0f} B per instance"
 
 

@@ -400,7 +400,7 @@ def test_pair_overlap_names_a_surface_each_ontology_holds_once(domain, task):
     # the task claims the domain's trigger `klAs` as an instance
     claimed = Ontology(
         concepts=task.concepts,
-        instances=task.instances + (Instance("klAs", frozenset({"Booking_Request"})),),
+        instances=(*task.instances, Instance("klAs", frozenset({"Booking_Request"}))),
         relations=task.relations,
     )
     assert validate(domain) == validate(claimed) == []
@@ -498,9 +498,11 @@ def test_property_validate_lists_the_findings_of_the_merged_pair(tmp_path_factor
 
 def test_only_the_ontology_module_reads_its_indexes():
     # the rules for combining an ontology pair live in `lookup` and
-    # `relation_target`; another module reading an index would keep a copy
+    # `relation_target`; another module reading an index would keep a copy.
+    # Outside, only the instance surfaces are seen, as a read-only view
     package = Path(__file__).resolve().parents[1] / "src" / "ontosem"
-    private = ("_instances_by_surface", "_relations_by_trigger", "_relation_by_id")
+    private = ("._index", "._claims", "._relations_by_trigger", "._relation_by_id")
+    assert all(name in (package / "ontology.py").read_text(encoding="utf-8") for name in private)
     readers = [
         f"{path.name}: {name}"
         for path in sorted(package.glob("*.py"))
@@ -509,3 +511,12 @@ def test_only_the_ontology_module_reads_its_indexes():
         if name in path.read_text(encoding="utf-8")
     ]
     assert readers == []
+
+
+def test_the_instances_view_cannot_be_changed_through_its_surfaces(domain):
+    instances = domain.instances
+    assert not hasattr(instances, "__dict__")
+    with pytest.raises(AttributeError):
+        instances.surfaces = {}
+    assert not hasattr(instances.surfaces, "__setitem__")
+    assert sorted(instances.surfaces) == [i.surface for i in instances]

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import write_ontology
+from ontosem import ontology as ontology_module
 from ontosem import samples
+from ontosem.cli import main
 from ontosem.ontology import Concept, Instance, Ontology, Relation, TaxonomyEdge, merge, validate
 from ontosem.ontology_io import OntologyFormatError, OntologyValidationError, load_ontology
 from ontosem.serialize import XMLCharacterError, export_owl
@@ -190,6 +192,22 @@ def test_round_trip_with_zero_instances(tmp_path):
     loaded = load_ontology(path)
     assert loaded == ontology
     assert loaded.instances == ()
+
+
+def test_loading_a_valid_lexicon_builds_no_instance_record(tmp_path, monkeypatch):
+    # the surface index is the lexicon: loading and the whole pipeline read
+    # it, and the `Instance` records are derived only when asked for
+    def refuse(*fields):
+        raise AssertionError(f"Instance{fields} built")
+
+    monkeypatch.setattr(ontology_module, "Instance", refuse)
+    pair = [load_ontology(samples.domain_ontology_path()), load_ontology(samples.task_ontology_path())]
+    assert all(len(o.instances) == len(o.instances.surfaces) > 0 for o in pair)
+    out = tmp_path / "report.json"
+    argv = ["eval", "--in", str(samples.corpus_path()), "--gold", str(samples.gold_path()), "--out", str(out)]
+    assert main(argv) == 0 and json.loads(out.read_text(encoding="utf-8"))["counts"]["total"] > 0
+    with pytest.raises(AssertionError, match="Instance"):
+        list(pair[0].instances)
 
 
 # random valid ontologies: names drawn from a small pool, taxonomy edges only
