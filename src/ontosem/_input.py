@@ -32,9 +32,9 @@ class InputError(ValueError):
 
 
 def read(path: Path, error: type[InputError], parse=json.loads):
-    """`parse` (JSON by default) applied to the text of UTF-8 file `path`."""
+    """`parse` (JSON by default) applied to the text of UTF-8 file `path`, less a leading BOM."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
         doc = parse(text)
         if _SURROGATE_ESCAPE.search(text):
             # paired surrogates decode to one character; a lone one stays

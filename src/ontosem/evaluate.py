@@ -119,13 +119,11 @@ def _truncate2(value: Fraction | None) -> str | None:
 
 
 def metrics(counts: EvaluationCounts) -> Metrics:
-    """Exact precision and f-measure for a set of counts."""
+    """Exact precision, f-measure and F1 (2PF/(P+F) = 2a/(a+b+d), defined when a > 0)."""
     a, b, d = counts.correct, counts.incorrect, counts.total
     precision = Fraction(a, a + b) if a + b else None
     f_measure = Fraction(a, d) if d else None
-    f1 = None
-    if precision is not None and f_measure is not None and precision + f_measure > 0:
-        f1 = 2 * precision * f_measure / (precision + f_measure)
+    f1 = Fraction(2 * a, a + b + d) if a else None
     return Metrics(precision_exact=precision, f_measure_exact=f_measure, f1_exact=f1)
 
 
@@ -157,10 +155,10 @@ def report(
     gold: Mapping[str, GoldUtterance],
     unresolved_policy: str = "not-recognized",
 ) -> EvaluationReport:
-    """Full evaluation: overall counts, per-gold-label breakdown, and
-    the precision of tokens committed from a single-label annotation. Raises
+    """Full evaluation: overall counts, per-gold-label breakdown, and the
+    precision of tokens committed from a single-label annotation. Raises
     AlignmentError unless the predictions hold each gold utterance once, with
-    the same token sequence."""
+    the same tokens, and any utterance gold lacks with no token (it adds 0)."""
     if unresolved_policy not in UNRESOLVED_POLICIES:
         raise ValueError(
             f"unresolved_policy must be one of {UNRESOLVED_POLICIES}, got {unresolved_policy!r}"
@@ -171,7 +169,7 @@ def report(
         repeated = sorted(uid for uid, n in Counter(u.id for u in predicted).items() if n > 1)
         raise AlignmentError(f"utterance ids repeated in predictions: {repeated}")
     missing = sorted(set(gold) - set(predicted_by_id))
-    extra = sorted(set(predicted_by_id) - set(gold))
+    extra = sorted(uid for uid, u in predicted_by_id.items() if u.tokens and uid not in gold)
     if missing or extra:
         raise AlignmentError(
             f"utterance ids differ: missing from predictions {missing}, not in gold {extra}"

@@ -248,7 +248,7 @@ def tokenize(raw: RawUtterance) -> list[Token]:
 def expand_clitics(
     tokens: Sequence[Token], tables: NormalizationTables, known: Callable[[str], bool]
 ) -> list[Token]:
-    """Rewrite clitic-prefixed tokens into marker tokens plus their host.
+    """Rewrite clitic-prefixed tokens, each as long as its span, into markers plus their host.
 
     Longest prefix wins (the tables hold clitics in that order). Expansion
     only fires when the remainder after stripping the prefix is a known
@@ -260,19 +260,15 @@ def expand_clitics(
     """
     out: list[Token] = []
     for token in tokens:
-        rewritten = None
         for rule in tables.clitics:
             rest = token.surface[len(rule.prefix):]
             if token.surface.startswith(rule.prefix) and rest and known(rest):
-                rewritten = (rule, rest)
                 break
-        if rewritten is None:
+        else:
             out.append(token)
             continue
-        rule, rest = rewritten
         step = f"clitic:{rule.prefix}"
         cut = token.span[0] + len(rule.prefix)
-        cut = min(cut, token.span[1])
         for offset, surface in enumerate(rule.expansion):
             # first expansion token covers the prefix; any further ones are zero-width
             span = (token.span[0], cut) if offset == 0 else (cut, cut)

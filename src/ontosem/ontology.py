@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, KeysView, NamedTuple, Sequence
+from typing import Iterable, Iterator, KeysView, NamedTuple, Sequence
 
 DOMAIN = "domain"
 TASK = "task"
@@ -154,25 +154,6 @@ class Ontology(_Collections):
         for relation in self.relations:
             index.setdefault(relation.id, relation)
         return index
-
-
-def read_instances(records: Iterable[dict], field: Callable) -> Iterator[tuple[str, frozenset[str]]]:
-    """The (surface, concept set) pair of each instance of the JSON `records`.
-    Equal concept lists share one set (a lexicon has few); `field`, the
-    file's reader, runs only on a record that fails the inline type check and
-    on a list not seen before, so every message is the reader's own."""
-    shared: dict[tuple[str, ...], frozenset[str]] = {}
-    for r in records:
-        surface, names = r.get("surface"), r.get("concepts")
-        if type(surface) is not str or type(names) is not list:
-            surface = field(r, "surface", "instance")
-            names = field(r, "concepts", "instance", array=True)
-        key = tuple(names)
-        try:
-            members = shared[key]
-        except (KeyError, TypeError):  # TypeError: the list holds an unhashable value
-            members = shared[key] = frozenset(field(r, "concepts", "instance", array=True))
-        yield surface, members
 
 
 def lookup(
@@ -315,17 +296,13 @@ def validate(ontology: Ontology) -> list[Finding]:
 def trigger_instance_overlap(ontologies: Sequence[Ontology]) -> list[Finding]:
     """A surface form is either a concept instance or a relation marker, never
     both: one finding per surface that is an instance in one of `ontologies`
-    and a trigger in one of them, naming the least relation id it triggers.
-    For a pair these are the overlap findings of `validate(merge(*pair))`,
-    found without the merge by a loop over the triggers."""
-    claims: dict[str, str] = {}
-    for ontology in ontologies:
-        for relation in ontology.relations:
-            for trigger in relation.triggers:
-                claims[trigger] = min(claims.get(trigger, relation.id), relation.id)
+    and a trigger in one of them, naming the least relation id `lookup` gives
+    it. For a pair these are the overlap findings of `validate(merge(*pair))`,
+    found without the merge from each ontology's own trigger index."""
+    triggers = set().union(*(ontology._relations_by_trigger for ontology in ontologies))
     return [
-        Finding("trigger-instance-overlap", f"surface {surface!r} is both an instance and a trigger of relation {claims[surface]!r}")
-        for surface in sorted(claims)
+        Finding("trigger-instance-overlap", f"surface {surface!r} is both an instance and a trigger of relation {min(lookup(surface, ontologies)[1])!r}")
+        for surface in sorted(triggers)
         if any(surface in ontology.instances._index for ontology in ontologies)
     ]
 

@@ -20,6 +20,7 @@ writes the one-way OWL form.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 from ._input import InputError, read, reader
 from .ontology import (
@@ -30,7 +31,6 @@ from .ontology import (
     Ontology,
     Relation,
     TaxonomyEdge,
-    read_instances,
     validate,
 )
 
@@ -87,6 +87,25 @@ def parse_ontology_file(path: str | Path) -> Ontology:
         for r in records("relations")
     )
     return Ontology(concepts, taxonomy, instances, relations)
+
+
+def read_instances(records: Iterable[dict], field: Callable) -> Iterator[tuple[str, frozenset[str]]]:
+    """The (surface, concept set) pair of each instance of the JSON `records`,
+    for `Instances`. Equal concept lists share one set (a lexicon has few);
+    `field`, the file's reader, runs only on a record that fails the inline
+    type check and on a list not seen before, so its messages are the reader's."""
+    shared: dict[tuple[str, ...], frozenset[str]] = {}
+    for r in records:
+        surface, names = r.get("surface"), r.get("concepts")
+        if type(surface) is not str or type(names) is not list:
+            surface = field(r, "surface", "instance")
+            names = field(r, "concepts", "instance", array=True)
+        key = tuple(names)
+        try:
+            members = shared[key]
+        except (KeyError, TypeError):  # TypeError: the list holds an unhashable value
+            members = shared[key] = frozenset(field(r, "concepts", "instance", array=True))
+        yield surface, members
 
 
 def load_ontology(path: str | Path) -> Ontology:

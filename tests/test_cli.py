@@ -334,6 +334,30 @@ def test_eval_refuses_a_malformed_gold_file_before_running_the_pipeline(out, tmp
     assert capsys.readouterr().err == f"ontosem: {corpus}:1: expected 'id<TAB>text'\n"
 
 
+def test_empty_utterance_id_exits_1(out, tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("u1\tOtrAn\n\tltwns\n", encoding="utf-8")
+    assert run(["interpret", "--in", str(corpus), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"ontosem: {corpus}:2: empty utterance id\n")
+    assert not out.exists()
+
+
+def test_eval_scores_a_turn_that_normalizes_to_no_token(out, tmp_path, capsys):
+    # the gold format cannot list an utterance with no token; it adds 0 to every count
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text(samples.corpus_path().read_text(encoding="utf-8") + "z1\t?!\n", encoding="utf-8")
+    argv = ["eval", "--gold", str(samples.gold_path()), "--out", str(out)]
+    assert run(argv + ["--in", str(corpus)]) == 0
+    assert out.read_bytes() == samples.regression_report_path().read_bytes()
+    assert "Correct Annotation" in capsys.readouterr().err
+    # an extra utterance with a token is still an alignment error
+    corpus.write_text(samples.corpus_path().read_text(encoding="utf-8") + "z1\t?! OtrAn\n", encoding="utf-8")
+    assert run(argv + ["--in", str(corpus), "--out", str(tmp_path / "other")]) == 3
+    assert capsys.readouterr().err == (
+        "ontosem: alignment error: utterance ids differ: missing from predictions [], not in gold ['z1']\n"
+    )
+
+
 def test_eval_alignment_failure_exits_3(out, tmp_path, capsys):
     source = tmp_path / "c.tsv"
     source.write_text("u1\tOtrAn nwrmAl\n", encoding="utf-8")
@@ -346,10 +370,12 @@ def test_eval_alignment_failure_exits_3(out, tmp_path, capsys):
 
 def test_non_utf8_input_exits_1(out, tmp_path, capsys):
     source = tmp_path / "latin1.tsv"
-    source.write_bytes("u1\tcafé\n".encode("latin-1"))
-    assert run(["annotate", "--in", str(source), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == f"ontosem: {source}: not UTF-8: invalid continuation byte at byte 6\n"
+    # the offset is the file's: a leading byte order mark counts
+    for bom, offset in ((b"", 6), (b"\xef\xbb\xbf", 9)):
+        source.write_bytes(bom + "u1\tcafé\n".encode("latin-1"))
+        assert run(["annotate", "--in", str(source), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"ontosem: {source}: not UTF-8: invalid continuation byte at byte {offset}\n"
 
 
 @pytest.mark.parametrize("option", ["--domain", "--task", "--tables", "--in", "--gold"])
@@ -371,6 +397,34 @@ def test_non_utf8_file_named_in_diagnostic(out, tmp_path, capsys, option):
     err = capsys.readouterr().err
     assert err == f"ontosem: {bad}: not UTF-8: invalid continuation byte at byte 8\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", ["--domain", "--task", "--tables", "--in", "--gold"])
+def test_a_leading_byte_order_mark_is_not_content(tmp_path, capsys, option):
+    files = {
+        "--domain": samples.domain_ontology_path(),
+        "--task": samples.task_ontology_path(),
+        "--tables": samples.tables_path(),
+        "--in": samples.corpus_path(),
+        "--gold": samples.gold_path(),
+    }
+
+    def outputs(path):
+        given = {**files, option: path}
+        results = []
+        for command, output_format in (("eval", "json"), ("interpret", "tsv"), ("interpret", "xml")):
+            out = tmp_path / f"{command}.{output_format}"
+            argv = [command, "--out", str(out)] + (["--format", output_format] if command == "interpret" else [])
+            for name, file in given.items():
+                if command == "eval" or name != "--gold":
+                    argv += [name, str(file)]
+            results.append((run(argv), out.read_bytes(), capsys.readouterr()))
+        return results
+
+    with_bom = tmp_path / files[option].name
+    with_bom.write_bytes(b"\xef\xbb\xbf" + files[option].read_bytes())
+    assert outputs(with_bom) == outputs(files[option])
+    assert outputs(with_bom)[0][0] == 0
 
 
 @pytest.mark.parametrize("option", ["--domain", "--task", "--tables"])
@@ -439,6 +493,30 @@ def test_wrongly_typed_field_exits_1_naming_file(out, tmp_path, capsys, option, 
         argv = [command, option, str(path), "--out", str(out)] + (corpus if command == "eval" else [])
         assert run(argv) == 1, command
         assert capsys.readouterr().err == f"ontosem: {path}: {message}\n", command
+
+
+# a value of the right JSON type that a loader refuses
+@pytest.mark.parametrize(
+    "option, mutate, code, message",
+    [
+        ("--domain", lambda d: d.update(kind="Domain"), 1, "'kind' must be one of ['domain', 'task'], got 'Domain'"),
+        ("--domain", lambda d: d.pop("kind"), 1, "'kind' must be one of ['domain', 'task'], got None"),
+        ("--tables", lambda d: d["clitics"].append({"prefix": "", "expansion": ["ElY"]}), 2,
+         "invalid tables: clitic rule with empty prefix"),
+        ("--tables", lambda d: d["clitics"].append({"expansion": ["ElY"]}), 2,
+         "invalid tables: clitic rule with empty prefix"),
+        ("--tables", lambda d: d["clitics"].append({"prefix": "q", "expansion": []}), 2,
+         "invalid tables: clitic rule 'q' with empty expansion"),
+        ("--tables", lambda d: d["clitics"].append({"prefix": "q"}), 2,
+         "invalid tables: clitic rule 'q' with empty expansion"),
+    ],
+)
+def test_a_refused_value_exits_with_its_code_naming_file(out, tmp_path, capsys, option, mutate, code, message):
+    path = _bundled_with(option, tmp_path, mutate)
+    corpus = ["--in", str(samples.corpus_path()), "--gold", str(samples.gold_path())]
+    assert run(["eval", option, str(path), "--out", str(out)] + corpus) == code
+    assert capsys.readouterr() == ("", f"ontosem: {path}: {message}\n")
+    assert not out.exists()
 
 
 def test_compound_part_that_is_a_variant_base_exits_2(out, tmp_path, capsys):

@@ -100,6 +100,14 @@ def test_f_measure_never_exceeds_precision():
             assert 0 <= m.f_measure_exact <= m.precision_exact <= 1
 
 
+@given(st.integers(0, 60), st.integers(0, 60), st.integers(0, 60))
+def test_f1_is_the_harmonic_mean_of_precision_and_f_measure(a, b, c):
+    m = metrics(EvaluationCounts.tally(a, b, c))
+    p, f = m.precision_exact, m.f_measure_exact
+    defined = p is not None and f is not None and p + f > 0
+    assert m.f1_exact == (2 * p * f / (p + f) if defined else None)
+
+
 def test_truncation_is_floor_not_round():
     # 199/200 = 0.995 must display as 0.99
     m = metrics(EvaluationCounts.tally(correct=199, incorrect=1))
@@ -164,6 +172,22 @@ def test_missing_utterance_is_alignment_error():
     gold = make_gold("u", [("x", "A")])
     with pytest.raises(AlignmentError, match="ids differ"):
         report([], gold)
+
+
+def test_predicted_utterance_with_no_token_that_gold_lacks_is_aligned():
+    rows = [("x", Status.LABELED, {"A"})]
+    gold = make_gold("u", [("x", "A")])
+    expected = report([make_predicted("u", rows)], gold)
+    assert report([make_predicted("v", []), make_predicted("u", rows)], gold) == expected
+    # every other id mismatch still raises: a token, a repeat, or a gold utterance left out
+    with pytest.raises(AlignmentError, match=r"missing from predictions \[\], not in gold \['v'\]$"):
+        report([make_predicted("v", rows), make_predicted("u", rows)], gold)
+    with pytest.raises(AlignmentError, match=r"repeated in predictions: \['v'\]$"):
+        report([make_predicted("v", []), make_predicted("v", []), make_predicted("u", rows)], gold)
+    with pytest.raises(AlignmentError, match=r"missing from predictions \['u'\], not in gold \[\]$"):
+        report([make_predicted("v", [])], gold)
+    with pytest.raises(AlignmentError, match="0 predicted tokens vs 1 gold tokens"):
+        report([make_predicted("u", [])], gold)
 
 
 def test_repeated_predicted_id_is_alignment_error():
