@@ -423,8 +423,8 @@ def test_a_leading_byte_order_mark_is_not_content(tmp_path, capsys, option):
 
     with_bom = tmp_path / files[option].name
     with_bom.write_bytes(b"\xef\xbb\xbf" + files[option].read_bytes())
-    assert outputs(with_bom) == outputs(files[option])
-    assert outputs(with_bom)[0][0] == 0
+    plain = outputs(files[option])
+    assert outputs(with_bom) == plain and plain[0][0] == 0
 
 
 @pytest.mark.parametrize("option", ["--domain", "--task", "--tables"])
