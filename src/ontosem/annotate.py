@@ -9,6 +9,7 @@ disambiguation of multi-label tokens is the interpreter's job.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache
 from typing import Iterable, NamedTuple
 
 from .normalize import NormalizedUtterance
@@ -80,12 +81,7 @@ def annotate_all(
     utterances: Iterable[NormalizedUtterance], *ontologies: Ontology
 ) -> list[AnnotatedUtterance]:
     """`annotate` of each utterance, with each distinct surface annotated once
-    per call (an unvalidated pair's overlap warning logs once per surface)."""
-    known: dict[str, TokenAnnotation] = {}
-
-    def annotation(surface: str) -> TokenAnnotation:
-        if (found := known.get(surface)) is None:
-            found = known[surface] = annotate_token(surface, *ontologies)
-        return found
-
+    per call by a cache that keeps nothing after it (an unvalidated pair's
+    overlap warning logs once per surface)."""
+    annotation = cache(lambda surface: annotate_token(surface, *ontologies))
     return [AnnotatedUtterance(u.id, tuple(annotation(t.surface) for t in u.tokens)) for u in utterances]

@@ -23,8 +23,10 @@ spellings) to the base form used by the ontology and must be idempotent.
 
 Each token costs a few dict lookups whatever the size of the tables and
 ontologies: compounds are indexed by their first part when the tables are
-built, and the clitic gate asks the variant table and `ontology.lookup`;
-`normalize_all` asks it once per distinct surface per call, not per token.
+built, a token no clitic prefix starts is passed by one `startswith`, and
+the clitic gate asks the variant table and `ontology.lookup`; `normalize_all`
+runs `normalize`'s loop per utterance with a gate that answers each
+remainder once per call.
 
 Normalization is a pure function and a fixed point: running it over its own
 output changes nothing. `load_tables(path, *ontologies)` is the one check of
@@ -35,6 +37,7 @@ given the ontologies `normalize` will be passed.
 from __future__ import annotations
 
 import re
+from functools import cache
 from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
@@ -50,6 +53,11 @@ PUNCTUATION = frozenset("؟?!.,")
 # the token rule: a token is a maximal run of characters that are neither
 # whitespace (`str.isspace`, which `\s` matches) nor PUNCTUATION
 _TOKEN = re.compile(f"[^\\s{re.escape(''.join(sorted(PUNCTUATION)))}]+")
+
+
+def _is_token(surface: str) -> bool:
+    """Whether `tokenize` reads `surface` as itself (ASCII is a fixed point of `transliterate`)."""
+    return _TOKEN.fullmatch(surface) is not None and (surface.isascii() or transliterate(surface) == surface)
 
 
 class TablesError(InputError):
@@ -96,15 +104,16 @@ class NormalizationTables:
 
     Construction also indexes the compounds by their first part, each bucket
     in that same precedence order, so matching at a token position looks at
-    no rule starting with another surface. The index is derived data: it
-    takes no part in `==` or `repr`. A compound rule with no parts matches
-    everywhere without consuming a token and is rejected with ValueError.
+    no rule starting with another surface, and keeps the tuple of clitic
+    prefixes. Both are derived data: they take no part in `==`, `hash` or
+    `repr`. A compound rule with no parts matches everywhere without
+    consuming a token and is rejected with ValueError.
     `variants` is copied into a read-only mapping, left out of the hash, so
     the tables cannot change after `load_tables` has checked them; no
     attribute can be assigned.
     """
 
-    __slots__ = ("compounds", "clitics", "variants", "_compounds_by_first")
+    __slots__ = ("compounds", "clitics", "variants", "_compounds_by_first", "_clitic_prefixes")
 
     def __init__(self, compounds: Iterable[CompoundRule] = (), clitics: Iterable[CliticRule] = (),
                  variants: Mapping[str, str] | None = None):
@@ -116,7 +125,8 @@ class NormalizationTables:
             by_first.setdefault(rule.parts[0], []).append(rule)
         clitics = tuple(sorted(clitics, key=lambda r: (-len(r.prefix), r.prefix)))
         variants = MappingProxyType(dict(variants or {}))
-        for name, value in zip(self.__slots__, (compounds, clitics, variants, by_first)):
+        prefixes = tuple(rule.prefix for rule in clitics)
+        for name, value in zip(self.__slots__, (compounds, clitics, variants, by_first, prefixes)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object = None) -> None:
@@ -145,13 +155,15 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
     findings (exit 2) for invariant violations: compound entries with fewer
     than two parts, duplicate compound part sequences, clitic rules with an
     empty expansion or an empty or repeated prefix, a variant table that is
-    not idempotent (chained entries a->b->c), or a compound part that is
-    another surface's variant base or a compound's replacement (either would
-    make a second normalization merge again). Those raise first, as such
-    tables cannot be built. Then `normalize` with these tables and
-    `ontologies` must be a fixed point under its clitic gate, which with no
-    ontologies knows only the variant keys. Each compound replacement, variant
-    base and clitic expansion token, after `radicalize`, must tokenize as
+    not idempotent (chained entries a->b->c), a compound part, variant key
+    or clitic prefix that no token can equal or start with (see `_is_token`),
+    or a compound part that is another surface's variant base or a
+    compound's replacement (either would make a second normalization merge
+    again). Those raise first, as such tables cannot be built. Then
+    `normalize` with these tables and `ontologies` must be a fixed point
+    under its clitic gate, which with no ontologies knows only the variant
+    keys. Each compound replacement, variant base and clitic expansion
+    token, after `radicalize`, must tokenize as
     itself (`x.y`, `x y`, `""` and Arabic script do not) and no clitic rule
     may split it: with the compound `a b -> ltwns`, `a b` would normalize to
     `ltwns` and that again to `Ily twns` when an ontology knows `twns`. Nor
@@ -184,6 +196,8 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
         for part in parts:
             if part in bases:
                 findings.append(f"compound {parts!r} part {part!r} is the base of variant {bases[part]!r}")
+            if not _is_token(part):
+                findings.append(f"compound {parts!r} part {part!r} can never be a token")
         replaced.setdefault(replacement, parts)
         compounds.append(CompoundRule(parts, replacement))
     findings += [
@@ -199,11 +213,15 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
             findings.append("clitic rule with empty prefix")
         elif any(rule.prefix == prefix for rule in clitics):
             findings.append(f"clitic prefix {prefix!r} declared more than once")
+        elif not _is_token(prefix):
+            findings.append(f"clitic prefix {prefix!r} can never start a token")
         if not expansion:
             findings.append(f"clitic rule {prefix!r} with empty expansion")
         clitics.append(CliticRule(prefix, expansion))
 
     for original, base in sorted(variants.items()):
+        if not _is_token(original):
+            findings.append(f"variant key {original!r} can never be a token")
         if variants.get(base, base) != base:
             findings.append(f"variant chain {original!r} -> {base!r} -> {variants[base]!r}")
 
@@ -211,26 +229,25 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
         raise TablesError(f"{path}: invalid tables", findings)
     tables = NormalizationTables(tuple(compounds), tuple(clitics), variants)
 
-    known = _clitic_gate(tables, ontologies)
-    prefixes = tuple(rule.prefix for rule in tables.clitics)
+    known, prefixes = _clitic_gate(tables, ontologies), tables._clitic_prefixes
+    split = lambda s: [t.surface for t in expand_clitics([Token(s, (0, len(s)))], tables, known)]
     emitted = [("compound", rule.parts, rule.replacement) for rule in tables.compounds]
     emitted += [("variant", key, base) for key, base in sorted(variants.items()) if base != key]
     emitted += [("clitic", rule.prefix, s) for rule in tables.clitics for s in rule.expansion]
     for kind, key, surface in emitted:
         surface = radicalize(surface, tables)
-        # `tokenize` gives [surface] (ASCII is a fixed point of `transliterate`)
-        if not _TOKEN.fullmatch(surface) or not (surface.isascii() or transliterate(surface) == surface):
+        if not _is_token(surface):
             parts = [t.surface for t in tokenize(RawUtterance("", surface))]
             findings.append(f"{kind} {key!r} emits {surface!r}, which a second pass tokenizes into {parts!r}")
-        elif pieces := surface.startswith(prefixes) and _expand_surface(surface, tables, known):
-            findings.append(f"{kind} {key!r} emits {surface!r}, which a second pass splits into {[t.surface for t in pieces]!r}")
+        elif surface.startswith(prefixes) and len(pieces := split(surface)) > 1:
+            findings.append(f"{kind} {key!r} emits {surface!r}, which a second pass splits into {pieces!r}")
     # a surface a variant rewrites leaves as its base, checked above as emitted
     triggers = (r.triggers for o in ontologies for r in o.relations)
     vocabulary = chain(variants, *(o.instances.surfaces for o in ontologies), *triggers)
     hosts = {s for s in vocabulary if s.startswith(prefixes)}
     for host in sorted(hosts):
-        if radicalize(host, tables) == host and (pieces := _expand_surface(host, tables, known)):
-            findings.append(f"known surface {host!r} is a clitic host that a second pass splits into {[t.surface for t in pieces]!r}")
+        if radicalize(host, tables) == host and len(pieces := split(host)) > 1:
+            findings.append(f"known surface {host!r} is a clitic host that a second pass splits into {pieces!r}")
     if findings:
         raise TablesError(f"{path}: invalid tables", findings)
     return tables
@@ -250,17 +267,17 @@ def expand_clitics(
 ) -> list[Token]:
     """Rewrite clitic-prefixed tokens, each as long as its span, into markers plus their host.
 
-    Longest prefix wins (the tables hold clitics in that order). Expansion
-    only fires when the remainder after stripping the prefix is a known
-    surface form, i.e. `known(rest)` is true; everything else passes through
-    unchanged, so unknown words that merely start with a clitic letter are
-    left intact. `known` is asked once per matching prefix (per distinct
-    surface per call in `normalize_all`): `normalize` passes a gate over the
-    variant table and the ontologies; a set's `__contains__` works as well.
+    Longest prefix wins (the tables hold clitics in that order). A token that
+    no prefix starts passes after one `startswith`. Expansion only fires when
+    the remainder after stripping the prefix is a known surface form, i.e.
+    `known(rest)` is true; everything else passes through unchanged, so
+    unknown words that merely start with a clitic letter are left intact.
+    `known` is asked once per matching prefix: `normalize` passes a gate over
+    the variant table and the ontologies; a set's `__contains__` works as well.
     """
     out: list[Token] = []
     for token in tokens:
-        for rule in tables.clitics:
+        for rule in tables.clitics if token.surface.startswith(tables._clitic_prefixes) else ():
             rest = token.surface[len(rule.prefix):]
             if token.surface.startswith(rule.prefix) and rest and known(rest):
                 break
@@ -337,41 +354,24 @@ def normalize(
     a label or a relation id, so no vocabulary is built per call and the
     cost per token does not grow with the lexicon or the tables.
     """
-    tokens = tokenize(raw)
-    tokens = expand_clitics(tokens, tables, _clitic_gate(tables, ontologies))
-    return _merge_and_radicalize(raw.id, tokens, tables)
+    return _normalize(raw, tables, _clitic_gate(tables, ontologies))
 
 
 def normalize_all(
     utterances: Iterable[RawUtterance], tables: NormalizationTables, *ontologies: Ontology
 ) -> list[NormalizedUtterance]:
-    """`normalize` of each utterance; each distinct surface's clitic expansion is worked out once per call."""
-    known = _clitic_gate(tables, ontologies)
-    expansions: dict[str, list[Token] | None] = {}
-    out: list[NormalizedUtterance] = []
-    for raw in utterances:
-        tokens: list[Token] = []
-        for token in tokenize(raw):
-            if (pieces := expansions.get(token.surface, False)) is False:
-                pieces = expansions[token.surface] = _expand_surface(token.surface, tables, known)
-            at = token.span[0]
-            tokens += [Token(p.surface, (at + p.span[0], at + p.span[1]), p.trace) for p in pieces] if pieces else [token]
-        out.append(_merge_and_radicalize(raw.id, tokens, tables))
-    return out
+    """`normalize` of each utterance, with a clitic gate that answers each
+    remainder once per call and keeps nothing after it."""
+    known = cache(_clitic_gate(tables, ontologies))
+    return [_normalize(raw, tables, known) for raw in utterances]
 
 
-def _expand_surface(surface: str, tables: NormalizationTables, known: Callable[[str], bool]) -> list[Token] | None:
-    """`expand_clitics` of the token `surface` at (0, len(surface)); None if it stays whole."""
-    pieces = expand_clitics([whole := Token(surface, (0, len(surface)))], tables, known)
-    return None if pieces[0] is whole else pieces
-
-
-def _merge_and_radicalize(uid: str, tokens: list[Token], tables: NormalizationTables) -> NormalizedUtterance:
-    """`normalize` after clitic expansion: compounds, then each token's variant base."""
+def _normalize(raw: RawUtterance, tables: NormalizationTables, known: Callable[[str], bool]) -> NormalizedUtterance:
+    """`normalize` with the clitic gate `known`: clitics, compounds, then each token's variant base."""
     final: list[Token] = []
-    for token in merge_compounds(tokens, tables):
+    for token in merge_compounds(expand_clitics(tokenize(raw), tables, known), tables):
         base = radicalize(token.surface, tables)
         if base != token.surface:
             token = Token(base, token.span, token.trace + (f"variant:{token.surface}",))
         final.append(token)
-    return NormalizedUtterance(id=uid, tokens=tuple(final))
+    return NormalizedUtterance(id=raw.id, tokens=tuple(final))

@@ -509,6 +509,23 @@ def test_wrongly_typed_field_exits_1_naming_file(out, tmp_path, capsys, option, 
          "invalid tables: clitic rule 'q' with empty expansion"),
         ("--tables", lambda d: d["clitics"].append({"prefix": "q"}), 2,
          "invalid tables: clitic rule 'q' with empty expansion"),
+        # rules no token can fire: a token is a run of the token rule in the
+        # transliterated text, so it holds no whitespace, punctuation or Arabic script
+        ("--tables", lambda d: d["compounds"].append({"parts": ["x", "تونس"]}), 2,
+         "invalid tables: compound ('x', 'تونس') part 'تونس' can never be a token"),
+        ("--tables", lambda d: d["variants"].update({"AltrAn?": "OtrAn"}), 2,
+         "invalid tables: variant key 'AltrAn?' can never be a token"),
+        ("--tables", lambda d: d["clitics"].append({"prefix": "ل", "expansion": ["Ily"]}), 2,
+         "invalid tables: clitic prefix 'ل' can never start a token"),
+        ("--tables", lambda d: d.update(
+            compounds=[{"parts": ["IlmADy sAEh", "x"], "replacement": "ok1"}, {"parts": ["", ""], "replacement": "zz"}],
+            variants={"a b": "c"},
+            clitics=[{"prefix": "l ", "expansion": ["Ily"]}],
+        ), 2,
+         "invalid tables: compound ('IlmADy sAEh', 'x') part 'IlmADy sAEh' can never be a token; "
+         "compound ('', '') part '' can never be a token; compound ('', '') part '' can never be a token; "
+         "clitic prefix 'l ' can never start a token; "
+         "variant key 'a b' can never be a token"),
     ],
 )
 def test_a_refused_value_exits_with_its_code_naming_file(out, tmp_path, capsys, option, mutate, code, message):

@@ -26,13 +26,34 @@ from ontosem.normalize import (
     radicalize,
     tokenize,
 )
-from ontosem.ontology import Concept, Instance, Ontology, Relation
+from ontosem.ontology import Concept, Instance, Ontology, Relation, lookup
 
 
 # -- reference implementations ---------------------------------------------------
-# The straightforward forms the indexed code must agree with: every compound
-# rule tried at every position, and the clitic gate's vocabulary built as the
-# set union of the variant keys and every ontology's surface vocabulary.
+# The straightforward forms the indexed code must agree with: every clitic
+# rule tried on every token, every compound rule tried at every position, and
+# the clitic gate's vocabulary built as the set union of the variant keys and
+# every ontology's surface vocabulary.
+
+def reference_expand_clitics(tokens, tables, known):
+    out = []
+    for token in tokens:
+        matched = None
+        for rule in tables.clitics:
+            rest = token.surface[len(rule.prefix):]
+            if token.surface.startswith(rule.prefix) and rest and known(rest):
+                matched = rule
+                break
+        if matched is None:
+            out.append(token)
+            continue
+        step = f"clitic:{matched.prefix}"
+        cut = token.span[0] + len(matched.prefix)
+        for offset, surface in enumerate(matched.expansion):
+            out.append(Token(surface, (token.span[0], cut) if offset == 0 else (cut, cut), token.trace + (step,)))
+        out.append(Token(rest, (cut, token.span[1]), token.trace + (step,)))
+    return out
+
 
 def reference_merge_compounds(tokens, tables):
     out = []
@@ -69,7 +90,7 @@ def reference_vocabulary(tables, ontologies):
 
 
 def reference_normalize(raw, tables, *ontologies):
-    tokens = expand_clitics(tokenize(raw), tables, reference_vocabulary(tables, ontologies).__contains__)
+    tokens = reference_expand_clitics(tokenize(raw), tables, reference_vocabulary(tables, ontologies).__contains__)
     final = []
     for token in reference_merge_compounds(tokens, tables):
         base = radicalize(token.surface, tables)
@@ -350,6 +371,16 @@ def test_compound_index_stays_out_of_equality_and_repr():
     assert repr(tables) == (
         "NormalizationTables(compounds=(CompoundRule(parts=('A', 'B'), replacement='A_B'), "
         "CompoundRule(parts=('C', 'D'), replacement='C_D')), clitics=(), variants=mappingproxy({}))"
+    )
+    # the clitic prefix tuple is derived the same way
+    clitics = (CliticRule("l", ("Ily",)), CliticRule("mn", ("mn",)))
+    prefixed = NormalizationTables(clitics=clitics)
+    assert prefixed._clitic_prefixes == ("mn", "l")
+    assert prefixed == NormalizationTables(clitics=clitics[::-1]) != NormalizationTables()
+    assert hash(prefixed) == hash(NormalizationTables(clitics=clitics[::-1]))
+    assert repr(prefixed) == (
+        "NormalizationTables(compounds=(), clitics=(CliticRule(prefix='mn', expansion=('mn',)), "
+        "CliticRule(prefix='l', expansion=('Ily',))), variants=mappingproxy({}))"
     )
 
 
@@ -866,20 +897,20 @@ def test_the_raw_corpora_hold_what_the_property_needs(holds):
     find(raw_corpora(), holds, settings=settings(database=None, phases=[Phase.generate], max_examples=1000))
 
 
-def test_normalize_all_expands_each_distinct_surface_once_per_call(monkeypatch, tables, ontologies):
-    calls = []
+def test_normalize_all_asks_the_gate_once_per_remainder_per_call(monkeypatch, tables, ontologies):
+    asked = []
 
-    def counted(tokens, *args):
-        calls.append([t.surface for t in tokens])
-        return expand_clitics(tokens, *args)
+    def counted(surface, ontologies):
+        asked.append(surface)
+        return lookup(surface, ontologies)
 
-    monkeypatch.setattr(normalize_module, "expand_clitics", counted)
-    raws = [RawUtterance("u0", "ltwns sAEh ltwns?"), RawUtterance("u1", "sAEh, ltwns")]
+    monkeypatch.setattr(normalize_module, "lookup", counted)
+    raws = [RawUtterance("u0", "ltwns sAEh ltwns? lxyz"), RawUtterance("u1", "sAEh, ltwns")]
     first = normalize_all(raws, tables, *ontologies)
-    assert calls == [["ltwns"], ["sAEh"]]
+    assert asked == ["twns", "xyz"]
     assert [t.span for t in first[1].tokens] == [(0, 4), (6, 7), (7, 11)]
     assert normalize_all(raws, tables, *ontologies) == first
-    assert calls == [["ltwns"], ["sAEh"]] * 2  # nothing was kept from the first call
+    assert asked == ["twns", "xyz"] * 2  # nothing was kept from the first call
 
 
 def test_successive_calls_under_other_tables_or_ontologies_give_their_own_output(tables, ontologies):
