@@ -85,5 +85,6 @@ _TABLE = str.maketrans(BUCKWALTER_MAP)
 
 
 def transliterate(text: str) -> str:
-    """Map Arabic script to Buckwalter ASCII, leaving other characters alone."""
-    return text.translate(_TABLE)
+    """Map Arabic script to Buckwalter ASCII, leaving other characters alone.
+    ASCII text, which the table maps to itself, is returned as it is."""
+    return text if text.isascii() else text.translate(_TABLE)

@@ -71,9 +71,9 @@ def load_utterances(path: str | Path) -> list[RawUtterance]:
     utterances: list[RawUtterance] = []
     seen: set[str] = set()
     for lineno, line in _lines(path):
-        if "\t" not in line:
+        utterance_id, tab, text = line.partition("\t")
+        if not tab:
             raise CorpusFormatError(f"{path}:{lineno}: expected 'id<TAB>text'")
-        utterance_id, text = line.split("\t", 1)
         utterance_id = utterance_id.strip()
         if not utterance_id:
             raise CorpusFormatError(f"{path}:{lineno}: empty utterance id")
@@ -93,7 +93,7 @@ def load_gold(path: str | Path, *ontologies: Ontology) -> dict[str, GoldUtteranc
     path = Path(path)
     known = {SEMANTIC_RELATION_LABEL, OOV_LABEL}.union(*(o.concept_names for o in ontologies))
     grouped: dict[str, list[GoldToken]] = {}
-    shared: dict[GoldToken, GoldToken] = {}
+    shared: dict[tuple[str, str], GoldToken] = {}  # (surface, label) -> its one record
     block = None  # the id of the utterance the previous token line belongs to
     for lineno, line in _lines(path):
         parts = line.split("\t")
@@ -117,8 +117,10 @@ def load_gold(path: str | Path, *ontologies: Ontology) -> dict[str, GoldUtteranc
             raise CorpusFormatError(
                 f"{path}:{lineno}: token index {index} out of order (expected {len(tokens)})"
             )
-        token = GoldToken(surface, label)
-        tokens.append(shared.setdefault(token, token))
+        token = shared.get((surface, label))
+        if token is None:
+            token = shared[surface, label] = GoldToken(surface, label)
+        tokens.append(token)
     return {uid: GoldUtterance(id=uid, tokens=tuple(tokens)) for uid, tokens in grouped.items()}
 
 

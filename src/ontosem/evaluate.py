@@ -29,9 +29,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from itertools import chain
+from typing import Iterable, Mapping, NamedTuple
 
-from .annotate import Status, TokenAnnotation, committed_label
+from .annotate import Status, committed_label
 from .corpus import GoldUtterance
 from .interpret import UNCHANGED, UNRESOLVED_POLICIES, InterpretedUtterance
 
@@ -127,12 +128,12 @@ def metrics(counts: EvaluationCounts) -> Metrics:
     return Metrics(precision_exact=precision, f_measure_exact=f_measure, f1_exact=f1)
 
 
-def _readings(
+def _raise_first_fault(
     predicted_by_id: Mapping[str, InterpretedUtterance], gold: Mapping[str, GoldUtterance]
-) -> Iterator[tuple[TokenAnnotation, str, bool]]:
-    """Each token's reading, in gold order: its annotation, its gold label and
-    whether interpretation passed it through unchanged. Raises AlignmentError
-    at the first utterance or token that does not line up with gold."""
+) -> None:
+    """Raise AlignmentError (or zip's ValueError for resolutions that do not
+    match the tokens) at the first utterance or token, in gold order, that
+    does not line up with gold."""
     for uid, gold_utterance in gold.items():
         prediction = predicted_by_id[uid]
         if len(prediction.tokens) != len(gold_utterance.tokens):
@@ -141,13 +142,12 @@ def _readings(
                 f" vs {len(gold_utterance.tokens)} gold tokens"
             )
         rows = zip(prediction.tokens, prediction.resolutions, gold_utterance.tokens, strict=True)
-        for index, (token, resolution, gold_token) in enumerate(rows):
+        for index, (token, _, gold_token) in enumerate(rows):
             if token.surface != gold_token.surface:
                 raise AlignmentError(
                     f"utterance {uid!r} token {index}: surface {token.surface!r}"
                     f" vs gold {gold_token.surface!r}"
                 )
-            yield token, gold_token.label, resolution.outcome == UNCHANGED
 
 
 def report(
@@ -175,24 +175,34 @@ def report(
             f"utterance ids differ: missing from predictions {missing}, not in gold {extra}"
         )
 
-    # a token's bucket follows from its reading alone: pick each distinct
-    # reading's bucket once and count it as often as the reading occurs
+    # a token's bucket follows from its (token, gold token, resolution) reading
+    # alone: count the readings over the whole corpus, check each distinct
+    # one's surfaces and pick its bucket once; on a fault walk token by token
+    # to raise the one a per-token pass would
+    predictions = [predicted_by_id[uid] for uid in gold]
+    tokens, golds = [p.tokens for p in predictions], [g.tokens for g in gold.values()]
+    resolutions = [p.resolutions for p in predictions]
+    if not list(map(len, tokens)) == list(map(len, golds)) == list(map(len, resolutions)):
+        _raise_first_fault(predicted_by_id, gold)
+    readings = Counter(chain.from_iterable(map(zip, tokens, golds, resolutions)))
     overall, single = Counter(), Counter()  # bucket -> tokens
     per_concept: dict[str, Counter] = defaultdict(Counter)
-    for (token, gold_label, unchanged), n in Counter(_readings(predicted_by_id, gold)).items():
+    for (token, gold_token, resolution), n in readings.items():
+        if token.surface != gold_token.surface:
+            _raise_first_fault(predicted_by_id, gold)
         committed = committed_label(token)
         if token.status is Status.AMBIGUOUS:
             bucket = "b" if unresolved_policy == "incorrect" else "c"
         elif committed is None:
             bucket = "c"
-        elif committed == gold_label:
+        elif committed == gold_token.label:
             bucket = "a"
         else:
             bucket = "b"
 
         overall[bucket] += n
-        per_concept[gold_label][bucket] += n
-        if token.status is Status.LABELED and unchanged:
+        per_concept[gold_token.label][bucket] += n
+        if token.status is Status.LABELED and resolution.outcome == UNCHANGED:
             single[bucket] += n
 
     return EvaluationReport(

@@ -107,7 +107,8 @@ class NormalizationTables:
     no rule starting with another surface, and keeps the tuple of clitic
     prefixes. Both are derived data: they take no part in `==`, `hash` or
     `repr`. A compound rule with no parts matches everywhere without
-    consuming a token and is rejected with ValueError.
+    consuming a token, and a clitic rule with an empty prefix splits every
+    token again on each pass; both are rejected with ValueError.
     `variants` is copied into a read-only mapping, left out of the hash, so
     the tables cannot change after `load_tables` has checked them; no
     attribute can be assigned.
@@ -124,6 +125,8 @@ class NormalizationTables:
         for rule in compounds:
             by_first.setdefault(rule.parts[0], []).append(rule)
         clitics = tuple(sorted(clitics, key=lambda r: (-len(r.prefix), r.prefix)))
+        if empty := [rule for rule in clitics if not rule.prefix]:
+            raise ValueError(f"clitic rules with an empty prefix: {empty!r}")
         variants = MappingProxyType(dict(variants or {}))
         prefixes = tuple(rule.prefix for rule in clitics)
         for name, value in zip(self.__slots__, (compounds, clitics, variants, by_first, prefixes)):

@@ -42,7 +42,7 @@ from typing import Iterable
 
 from ._input import InputError
 from .annotate import AnnotatedUtterance, SEMANTIC_RELATION_LABEL, Status, TokenAnnotation, committed_label
-from .interpret import InterpretedUtterance
+from .interpret import InterpretedUtterance, Resolution
 from .ontology import Ontology
 
 ANNOTATED_TSV_HEADER = "# ontosem annotations v1: utterance_id\ttoken_index\tsurface\tstatus\tlabels\trelation_ids"
@@ -142,16 +142,16 @@ def annotated_to_tsv(utterances: Iterable[AnnotatedUtterance]) -> str:
 
 def interpreted_to_tsv(utterances: Iterable[InterpretedUtterance]) -> str:
     lines = [INTERPRETED_TSV_HEADER]
-    # the six columns between the token index and the marker's index, joined
-    # once per distinct (token, candidates, outcome, via_relation)
-    middles: dict[tuple, str] = {}
+    # the seven columns after the token index, joined once per distinct
+    # (token, resolution) pair
+    rests: dict[tuple[TokenAnnotation, Resolution], str] = {}
     for utterance in utterances:
-        pairs = zip(utterance.tokens, utterance.resolutions, strict=True)
-        for index, (token, resolution) in enumerate(pairs):
-            key = (token, resolution.candidates, resolution.outcome, resolution.via_relation)
-            middle = middles.get(key)
-            if middle is None:
-                middle = middles[key] = "\t".join(
+        for index, pair in enumerate(zip(utterance.tokens, utterance.resolutions, strict=True)):
+            rest = rests.get(pair)
+            if rest is None:
+                token, resolution = pair
+                marker = resolution.relation_token_index
+                rest = rests[pair] = "\t".join(
                     (
                         token.surface,
                         token.status.value,
@@ -159,10 +159,10 @@ def interpreted_to_tsv(utterances: Iterable[InterpretedUtterance]) -> str:
                         "|".join(sorted(resolution.candidates)) or _ABSENT,
                         resolution.outcome,
                         resolution.via_relation or _ABSENT,
+                        _ABSENT if marker is None else str(marker),
                     )
                 )
-            marker = resolution.relation_token_index
-            lines.append(f"{utterance.id}\t{index}\t{middle}\t{_ABSENT if marker is None else marker}")
+            lines.append(f"{utterance.id}\t{index}\t{rest}")
     return "\n".join(lines) + "\n"
 
 

@@ -7,7 +7,7 @@ from hypothesis import Phase, find, given, settings, strategies as st
 
 from conftest import surface_vocabulary
 from ontosem import normalize as normalize_module, samples
-from ontosem.buckwalter import transliterate
+from ontosem.buckwalter import BUCKWALTER_MAP, _TABLE, transliterate
 from ontosem.corpus import load_utterances
 from ontosem.normalize import (
     CliticRule,
@@ -119,9 +119,15 @@ def test_transliterate_worked_example():
     assert transliterate("لتونس إلماضي ساعة") == "ltwns IlmADy sAEh"
 
 
-def test_transliterate_preserves_length():
-    text = "وقتاش يخرج التران؟"
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from([*"a $?\t~", *BUCKWALTER_MAP, *"éœ\u2028\u0600\U0001f600"]), max_size=12))
+def test_transliterate_preserves_length(text):
+    # ASCII text is returned as it is, other text goes through the table:
+    # both give what the table gives
+    assert transliterate(text) == text.translate(_TABLE)
     assert len(transliterate(text)) == len(text)
+    arabic = "وقتاش يخرج التران؟"
+    assert len(transliterate(arabic)) == len(arabic)
 
 
 def test_transliterate_maps_both_arabic_digit_sets():
@@ -339,6 +345,10 @@ def test_compound_rule_with_no_parts_rejected():
     # it would match everywhere without consuming a token
     with pytest.raises(ValueError, match=re.escape("CompoundRule(parts=(), replacement='x')")):
         NormalizationTables(compounds=(CompoundRule(("a", "b"), "a_b"), CompoundRule((), "x")))
+    # every token starts with "", so each pass would split it again:
+    # `twns` -> `x twns` -> `x x twns`
+    with pytest.raises(ValueError, match=re.escape("CliticRule(prefix='', expansion=('x',))")):
+        NormalizationTables(clitics=(CliticRule("l", ("Ily",)), CliticRule("", ("x",))))
 
 
 def test_empty_compound_parts_reported_by_load(tmp_path):

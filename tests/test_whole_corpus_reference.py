@@ -3,8 +3,9 @@ token: `annotate_all` annotates each distinct surface once, the XML writers
 render and check each distinct token once, the interpreted-TSV writer and
 `report` join and score each distinct reading once, and `interpret_all` and
 `load_gold` give equal readings one shared record. The references below do
-it once per token, and `load_gold`'s reference is its earlier per-line loop;
-on any input both must give the same result or raise the same error. The XML
+it once per token, `load_gold`'s reference is its earlier per-line loop and
+`load_utterances`' reference reads README's corpus rules line by line; on
+any input both must give the same result or raise the same error. The XML
 writers and `export_owl` check each piece as they build it; their reference
 checks the whole document."""
 
@@ -40,6 +41,7 @@ from ontosem.corpus import (
     GoldUtterance,
     UnknownGoldLabelError,
     load_gold,
+    load_utterances,
 )
 from ontosem.evaluate import AlignmentError, EvaluationCounts, EvaluationReport, report
 from ontosem.interpret import (
@@ -51,6 +53,7 @@ from ontosem.interpret import (
     interpret,
     interpret_all,
 )
+from ontosem.normalize import RawUtterance
 from ontosem.ontology import EMPTY, Concept, Instance, Ontology, Relation, TaxonomyEdge
 from ontosem.serialize import (
     INTERPRETED_TSV_HEADER,
@@ -211,7 +214,9 @@ def corpora(draw):
     is its own object, except in a repeated utterance, which shares the
     token objects of the one it repeats. Some utterances get resolutions
     drawn at random, as a caller of the writers or `report` may pass: the
-    same token then meets each outcome, candidate set and relation."""
+    same token then meets each outcome, candidate set and relation. Half the
+    corpora hold one or two faults (`_misalign`) that `report` refuses, and
+    the TSV writer too when resolutions are cut short."""
     tie_break = draw(st.sampled_from(TIE_BREAKS))
     annotated, interpreted, gold = [], [], {}
     for u in range(draw(st.integers(1, 6))):
@@ -237,8 +242,40 @@ def corpora(draw):
             interpreted[-1] = interpreted[-1]._replace(resolutions=resolutions)
         labels = [draw(st.sampled_from(GOLD_LABELS)) for _ in surfaces]
         gold[uid] = GoldUtterance(uid, tuple(GoldToken(s, label) for s, label in zip(surfaces, labels)))
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 2))):
+            _misalign(draw, interpreted, gold)
     order = draw(st.permutations(list(gold)))
     return annotated, interpreted, {uid: gold[uid] for uid in order}
+
+
+def _misalign(draw, interpreted, gold):
+    """Put one fault into a random utterance: a gold token dropped or added,
+    a gold surface changed, or the resolutions cut short."""
+    u = draw(st.sampled_from(range(len(interpreted))))
+    prediction = interpreted[u]
+    tokens = list(gold[prediction.id].tokens)
+    fault = draw(st.sampled_from(["drop", "add", "surface", "cut"]))
+    if fault == "cut":
+        cut = draw(st.integers(0, max(len(prediction.resolutions) - 1, 0)))
+        interpreted[u] = prediction._replace(resolutions=prediction.resolutions[:cut])
+    elif fault == "add" or not tokens:
+        added = GoldToken(draw(st.sampled_from(SURFACES)), draw(st.sampled_from(GOLD_LABELS)))
+        tokens.insert(draw(st.integers(0, len(tokens))), added)
+    else:
+        index = draw(st.integers(0, len(tokens) - 1))
+        if fault == "drop":
+            del tokens[index]
+        else:
+            tokens[index] = tokens[index]._replace(surface=tokens[index].surface + "~")
+    gold[prediction.id] = gold[prediction.id]._replace(tokens=tuple(tokens))
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except ValueError as err:  # AlignmentError, or zip's for resolutions cut short
+        return type(err), str(err)
 
 
 @settings(max_examples=300, deadline=None)
@@ -247,8 +284,8 @@ def test_writers_and_report_equal_the_per_token_references(corpus, policy):
     annotated, interpreted, gold = corpus
     assert annotated_to_xml(annotated) == reference_xml(annotated)
     assert interpreted_to_xml(interpreted) == reference_xml(interpreted)
-    assert interpreted_to_tsv(interpreted) == reference_interpreted_tsv(interpreted)
-    assert report(interpreted, gold, policy) == reference_report(interpreted, gold, policy)
+    assert _outcome(interpreted_to_tsv, interpreted) == _outcome(reference_interpreted_tsv, interpreted)
+    assert _outcome(report, interpreted, gold, policy) == _outcome(reference_report, interpreted, gold, policy)
 
 
 def _tokens(corpus):
@@ -275,9 +312,16 @@ def _shared(corpus):
     lambda c: any(t.status is Status.NOT_RECOGNIZED for t, _ in _tokens(c)),
     _equal_not_same,
     _shared,
-], ids=["marker", "resolved", "unresolved", "unknown", "equal-not-same", "shared"])
+    lambda c: "predicted tokens vs" in str(_outcome(report, *c[1:])),
+    lambda c: "vs gold" in str(_outcome(report, *c[1:])),
+    lambda c: "zip() argument 2 is shorter" in str(_outcome(report, *c[1:])),
+    lambda c: isinstance(_outcome(report, *c[1:]), EvaluationReport),
+], ids=[
+    "marker", "resolved", "unresolved", "unknown", "equal-not-same", "shared",
+    "count-fault", "surface-fault", "resolutions-cut-short", "aligned",
+])
 def test_the_corpora_hold_what_the_property_needs(holds):
-    find(corpora(), holds, settings=settings(database=None, phases=[Phase.generate]))
+    find(corpora(), holds, settings=settings(database=None, phases=[Phase.generate], max_examples=1000))
 
 
 def test_the_first_alignment_fault_in_gold_order_raises():
@@ -570,6 +614,66 @@ def _owl_reference_written(ontology):
 @given(xml_ontologies())
 def test_export_owl_refuses_what_the_whole_document_check_refuses(ontology):
     assert _owl_written(ontology) == _owl_reference_written(ontology)
+
+
+# -- load_utterances: README's corpus rules, line by line -------------------------------
+
+
+def reference_load_utterances(path):
+    """UTF-8 less a leading BOM; `\r\n` and a lone `\r` end a line as `\n`
+    does, and nothing else does; blank, whitespace-only and `#` lines are
+    skipped; every other line is `id<TAB>text`, both stripped, with a
+    non-empty id seen once."""
+    path = Path(path)
+    text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+    utterances, seen = [], set()
+    for lineno, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        if "\t" not in line:
+            raise CorpusFormatError(f"{path}:{lineno}: expected 'id<TAB>text'")
+        utterance_id, text = (part.strip() for part in line.split("\t", 1))
+        if not utterance_id:
+            raise CorpusFormatError(f"{path}:{lineno}: empty utterance id")
+        if utterance_id in seen:
+            raise DuplicateUtteranceIdError(f"{path}:{lineno}: duplicate id {utterance_id!r}")
+        seen.add(utterance_id)
+        utterances.append(RawUtterance(utterance_id, text))
+    return utterances
+
+
+# lines a corpus file may hold: padded ids and texts, a tab in the text, an
+# empty text, U+2028 and a `\r` inside a line, blank, whitespace-only and
+# `#` lines, a missing tab, an empty id and a repeated id
+CORPUS_LINES = [
+    "u1\tpln amb", "\u3000u2 \t m1  tsk\x1c", "u3\tpln\tzzz", "u4\t", "u5\tpln\u2028amb", "u6\tpln\ru7\tamb",
+    "", " ", "\u3000\t\x1c", "# comment", "#u8\tpln", "u9 pln", " \tpln", "u1\tzzz",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(CORPUS_LINES), max_size=8), st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_load_utterances_equals_its_per_line_reference(gold_dir, lines, newline, bom):
+    path = gold_dir / "c.tsv"
+    path.write_bytes((("\ufeff" if bom else "") + newline.join(lines) + newline).encode("utf-8"))
+    assert _loaded(load_utterances, path, ()) == _loaded(reference_load_utterances, path, ())
+
+
+@pytest.mark.parametrize("holds", [
+    lambda loaded: isinstance(loaded, list) and len(loaded) > 2,
+    lambda loaded: "expected 'id<TAB>text'" in str(loaded),
+    lambda loaded: "empty utterance id" in str(loaded),
+    lambda loaded: isinstance(loaded, tuple) and loaded[0] is DuplicateUtteranceIdError,
+], ids=["read", "missing-tab", "empty-id", "duplicate-id"])
+def test_the_corpus_files_hold_what_the_property_needs(gold_dir, holds):
+    def loaded(lines):
+        path = gold_dir / "c.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return _loaded(reference_load_utterances, path, ())
+
+    strategy = st.lists(st.sampled_from(CORPUS_LINES), max_size=8)
+    find(strategy, lambda lines: holds(loaded(lines)),
+         settings=settings(database=None, phases=[Phase.generate], max_examples=1000))
 
 
 # -- load_gold: the per-line loop it replaced -----------------------------------------------
