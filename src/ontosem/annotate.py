@@ -70,18 +70,13 @@ def annotate_token(surface: str, *ontologies: Ontology) -> TokenAnnotation:
 
 
 def annotate(normalized: NormalizedUtterance, *ontologies: Ontology) -> AnnotatedUtterance:
-    """Label every token of a normalized utterance; no token is dropped."""
-    return AnnotatedUtterance(
-        id=normalized.id,
-        tokens=tuple(annotate_token(token.surface, *ontologies) for token in normalized.tokens),
-    )
+    """Label every token of a normalized utterance (`annotate_all` of it); no token is dropped."""
+    return annotate_all([normalized], *ontologies)[0]
 
 
-def annotate_all(
-    utterances: Iterable[NormalizedUtterance], *ontologies: Ontology
-) -> list[AnnotatedUtterance]:
-    """`annotate` of each utterance, with each distinct surface annotated once
-    per call by a cache that keeps nothing after it (an unvalidated pair's
+def annotate_all(utterances: Iterable[NormalizedUtterance], *ontologies: Ontology) -> list[AnnotatedUtterance]:
+    """Each utterance's annotated tokens, with each distinct surface annotated
+    once per call by a cache that keeps nothing after it (an unvalidated pair's
     overlap warning logs once per surface)."""
     annotation = cache(lambda surface: annotate_token(surface, *ontologies))
-    return [AnnotatedUtterance(u.id, tuple(annotation(t.surface) for t in u.tokens)) for u in utterances]
+    return [AnnotatedUtterance(u.id, tuple(map(annotation, u.tokens))) for u in utterances]

@@ -12,8 +12,8 @@ relations try them in sorted id order.
 Interpretation is strictly local to one utterance; no dialogue context is
 consulted. `interpret_all` shares one UNCHANGED Resolution per candidate set
 and one resolved TokenAnnotation per (surface, label) across its call, and
-an utterance with nothing resolved keeps its tokens tuple; `interpret` does
-the same within one call and keeps nothing between calls.
+an utterance with nothing resolved keeps its tokens tuple; `interpret` is
+`interpret_all` of one utterance and keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def resolve_token(
 def interpret(
     annotated: AnnotatedUtterance, *ontologies: Ontology, tie_break: str = "left"
 ) -> InterpretedUtterance:
-    """Disambiguate every multi-label token of one annotated utterance.
+    """Disambiguate every multi-label token of one annotated utterance: `interpret_all` of it.
 
     Unambiguous tokens pass through unchanged. The result records one
     Resolution per token position; the consumed marker occurrences follow
@@ -102,42 +102,36 @@ def interpret(
     The ontologies are consulted in order and never merged, so passing the
     domain/task pair costs the same as passing their merge.
     """
-    _prefers_left(tie_break)
-    return _interpret(annotated, ontologies, tie_break, {})
-
-
-def _interpret(
-    annotated: AnnotatedUtterance, ontologies: Sequence[Ontology], tie_break: str, memo: dict
-) -> InterpretedUtterance:
-    """`interpret`'s loop; `memo` maps a candidate set to its UNCHANGED Resolution
-    and a (surface, label) pair to its resolved TokenAnnotation."""
-    consumed: set[int] = set()
-    tokens: list[TokenAnnotation] = []
-    resolutions: list[Resolution] = []
-
-    for index, token in enumerate(annotated.tokens):
-        if token.status is not Status.AMBIGUOUS:
-            if (resolution := memo.get(token.labels)) is None:
-                resolution = memo[token.labels] = Resolution(UNCHANGED, token.labels)
-        else:
-            resolution = resolve_token(index, annotated, ontologies, consumed, tie_break=tie_break)
-            if resolution.outcome == RESOLVED:
-                consumed.add(resolution.relation_token_index)
-                key = (token.surface, resolution.label)
-                if key not in memo:
-                    memo[key] = TokenAnnotation(token.surface, frozenset({resolution.label}), EMPTY, Status.LABELED)
-                token = memo[key]
-        tokens.append(token)
-        resolutions.append(resolution)
-
-    return InterpretedUtterance(annotated.id, tuple(tokens) if consumed else annotated.tokens, tuple(resolutions))
+    return interpret_all([annotated], *ontologies, tie_break=tie_break)[0]
 
 
 def interpret_all(
     utterances: Iterable[AnnotatedUtterance], *ontologies: Ontology, tie_break: str = "left"
 ) -> list[InterpretedUtterance]:
-    """`interpret` of each utterance, with one memo for the call: equal
-    UNCHANGED resolutions and equal resolved tokens are shared across it."""
+    """Each utterance interpreted, with one memo for the call: a candidate set
+    maps to its shared UNCHANGED Resolution and a (surface, label) pair to its
+    shared resolved TokenAnnotation."""
     _prefers_left(tie_break)
     memo: dict = {}
-    return [_interpret(u, ontologies, tie_break, memo) for u in utterances]
+    interpreted: list[InterpretedUtterance] = []
+    for annotated in utterances:
+        consumed: set[int] = set()
+        tokens: list[TokenAnnotation] = []
+        resolutions: list[Resolution] = []
+        for index, token in enumerate(annotated.tokens):
+            if token.status is not Status.AMBIGUOUS:
+                if (resolution := memo.get(token.labels)) is None:
+                    resolution = memo[token.labels] = Resolution(UNCHANGED, token.labels)
+            else:
+                resolution = resolve_token(index, annotated, ontologies, consumed, tie_break=tie_break)
+                if resolution.outcome == RESOLVED:
+                    consumed.add(resolution.relation_token_index)
+                    key = (token.surface, resolution.label)
+                    if key not in memo:
+                        memo[key] = TokenAnnotation(token.surface, frozenset({resolution.label}), EMPTY, Status.LABELED)
+                    token = memo[key]
+            tokens.append(token)
+            resolutions.append(resolution)
+        kept = tuple(tokens) if consumed else annotated.tokens
+        interpreted.append(InterpretedUtterance(annotated.id, kept, tuple(resolutions)))
+    return interpreted

@@ -24,9 +24,10 @@ spellings) to the base form used by the ontology and must be idempotent.
 Each token costs a few dict lookups whatever the size of the tables and
 ontologies: compounds are indexed by their first part when the tables are
 built, a token no clitic prefix starts is passed by one `startswith`, and
-the clitic gate asks the variant table and `ontology.lookup`; `normalize_all`
-runs `normalize`'s loop per utterance with a gate that answers each
-remainder once per call.
+the clitic gate asks the variant table and `ontology.lookup`. The pipeline
+carries surface strings only; `normalize` is `normalize_all` on one
+utterance. `explain` rebuilds one utterance's `Token`s with their spans and
+rewrite traces, replaying the same rule helpers, so each rule is written once.
 
 Normalization is a pure function and a fixed point: running it over its own
 output changes nothing. `load_tables(path, *ontologies)` is the one check of
@@ -37,7 +38,6 @@ given the ontologies `normalize` will be passed.
 from __future__ import annotations
 
 import re
-from functools import cache
 from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
@@ -70,7 +70,7 @@ class RawUtterance(NamedTuple):
 
 
 class Token(NamedTuple):
-    """A normalized token with its character range in the raw text.
+    """A normalized token with its character range in the raw text, as `explain` gives it.
 
     `trace` records the rewrite steps that produced the surface, e.g.
     ("clitic:l",) or ("compound", "variant:AltrAn"). Untouched tokens have an
@@ -83,8 +83,10 @@ class Token(NamedTuple):
 
 
 class NormalizedUtterance(NamedTuple):
+    """The normalized token surfaces of one utterance (`explain` gives their spans and traces)."""
+
     id: str
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]
 
 
 class CompoundRule(NamedTuple):
@@ -233,14 +235,14 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
     tables = NormalizationTables(tuple(compounds), tuple(clitics), variants)
 
     known, prefixes = _clitic_gate(tables, ontologies), tables._clitic_prefixes
-    split = lambda s: [t.surface for t in expand_clitics([Token(s, (0, len(s)))], tables, known)]
+    split = lambda s: expand_clitics([s], tables, known)
     emitted = [("compound", rule.parts, rule.replacement) for rule in tables.compounds]
     emitted += [("variant", key, base) for key, base in sorted(variants.items()) if base != key]
     emitted += [("clitic", rule.prefix, s) for rule in tables.clitics for s in rule.expansion]
     for kind, key, surface in emitted:
         surface = radicalize(surface, tables)
         if not _is_token(surface):
-            parts = [t.surface for t in tokenize(RawUtterance("", surface))]
+            parts = tokenize(RawUtterance("", surface))
             findings.append(f"{kind} {key!r} emits {surface!r}, which a second pass tokenizes into {parts!r}")
         elif surface.startswith(prefixes) and len(pieces := split(surface)) > 1:
             findings.append(f"{kind} {key!r} emits {surface!r}, which a second pass splits into {pieces!r}")
@@ -256,21 +258,24 @@ def load_tables(path: str | Path, *ontologies: Ontology) -> NormalizationTables:
     return tables
 
 
-def tokenize(raw: RawUtterance) -> list[Token]:
-    """The tokens of `raw`: the runs the token rule (`_TOKEN`) finds in the
-    transliterated text. Transliteration maps one character to one, so the
-    spans index the raw text as well.
-    """
-    text = transliterate(raw.text)
-    return [Token(match[0], match.span()) for match in _TOKEN.finditer(text)]
+def tokenize(raw: RawUtterance) -> list[str]:
+    """The token surfaces of `raw`: the runs the token rule (`_TOKEN`) finds in the transliterated text."""
+    return _TOKEN.findall(transliterate(raw.text))
 
 
-def expand_clitics(
-    tokens: Sequence[Token], tables: NormalizationTables, known: Callable[[str], bool]
-) -> list[Token]:
-    """Rewrite clitic-prefixed tokens, each as long as its span, into markers plus their host.
+def _clitic_rule(surface: str, tables: NormalizationTables, known: Callable[[str], bool]) -> CliticRule | None:
+    """The rule that splits `surface`: the longest prefix whose non-empty remainder is `known`."""
+    for rule in tables.clitics:
+        rest = surface[len(rule.prefix):]
+        if surface.startswith(rule.prefix) and rest and known(rest):
+            return rule
+    return None
 
-    Longest prefix wins (the tables hold clitics in that order). A token that
+
+def expand_clitics(surfaces: Sequence[str], tables: NormalizationTables, known: Callable[[str], bool]) -> list[str]:
+    """Rewrite each clitic-prefixed surface into its rule's markers plus its host.
+
+    Longest prefix wins (the tables hold clitics in that order). A surface that
     no prefix starts passes after one `startswith`. Expansion only fires when
     the remainder after stripping the prefix is a known surface form, i.e.
     `known(rest)` is true; everything else passes through unchanged, so
@@ -278,26 +283,26 @@ def expand_clitics(
     `known` is asked once per matching prefix: `normalize` passes a gate over
     the variant table and the ontologies; a set's `__contains__` works as well.
     """
-    out: list[Token] = []
-    for token in tokens:
-        for rule in tables.clitics if token.surface.startswith(tables._clitic_prefixes) else ():
-            rest = token.surface[len(rule.prefix):]
-            if token.surface.startswith(rule.prefix) and rest and known(rest):
-                break
+    prefixes, out = tables._clitic_prefixes, []
+    for surface in surfaces:
+        if surface.startswith(prefixes) and (rule := _clitic_rule(surface, tables, known)):
+            out += rule.expansion
+            out.append(surface[len(rule.prefix):])
         else:
-            out.append(token)
-            continue
-        step = f"clitic:{rule.prefix}"
-        cut = token.span[0] + len(rule.prefix)
-        for offset, surface in enumerate(rule.expansion):
-            # first expansion token covers the prefix; any further ones are zero-width
-            span = (token.span[0], cut) if offset == 0 else (cut, cut)
-            out.append(Token(surface, span, token.trace + (step,)))
-        out.append(Token(rest, (cut, token.span[1]), token.trace + (step,)))
+            out.append(surface)
     return out
 
 
-def merge_compounds(tokens: Sequence[Token], tables: NormalizationTables) -> list[Token]:
+def _compound_rule(surfaces: Sequence[str], i: int, tables: NormalizationTables) -> CompoundRule | None:
+    """The rule that merges the run at `surfaces[i]`: the first rule of that
+    surface's bucket (in precedence order) whose parts all match."""
+    for rule in tables._compounds_by_first.get(surfaces[i], ()):
+        if tuple(surfaces[i:i + len(rule.parts)]) == rule.parts:
+            return rule
+    return None
+
+
+def merge_compounds(surfaces: Sequence[str], tables: NormalizationTables) -> list[str]:
     """Replace contiguous runs found in the compound dictionary, longest match
     first, scanning left to right.
 
@@ -306,50 +311,30 @@ def merge_compounds(tokens: Sequence[Token], tables: NormalizationTables) -> lis
     of them whose parts all match wins. Cost per token depends on the rules
     sharing that first part, not on the size of the dictionary.
     """
-    surfaces = [t.surface for t in tokens]
-    out: list[Token] = []
+    if tables._compounds_by_first.keys().isdisjoint(surfaces):  # no surface starts a compound
+        return list(surfaces)
+    out: list[str] = []
     i = 0
-    while i < len(tokens):
-        for rule in tables._compounds_by_first.get(surfaces[i], ()):
-            n = len(rule.parts)
-            if tuple(surfaces[i:i + n]) == rule.parts:
-                break
-        else:
-            out.append(tokens[i])
-            i += 1
-            continue
-        trace = tuple(dict.fromkeys(s for t in tokens[i:i + n] for s in t.trace))
-        out.append(
-            Token(
-                rule.replacement,
-                (tokens[i].span[0], tokens[i + n - 1].span[1]),
-                trace + ("compound",),
-            )
-        )
-        i += n
+    while i < len(surfaces):
+        rule = _compound_rule(surfaces, i, tables)
+        out.append(rule.replacement if rule else surfaces[i])
+        i += len(rule.parts) if rule else 1
     return out
 
 
 def radicalize(surface: str, tables: NormalizationTables) -> str:
-    """Reduce a lexical variant to its base form; unknown tokens are unchanged.
-
-    The variant table is idempotent (enforced at load), so the result is a
-    fixed point.
-    """
+    """Reduce a lexical variant to its base form, a fixed point since the variant
+    table is idempotent (enforced at load); unknown tokens are unchanged."""
     return tables.variants.get(surface, surface)
 
 
-def _clitic_gate(
-    tables: NormalizationTables, ontologies: Sequence[Ontology]
-) -> Callable[[str], bool]:
+def _clitic_gate(tables: NormalizationTables, ontologies: Sequence[Ontology]) -> Callable[[str], bool]:
     """The `known` predicate `normalize` passes to `expand_clitics`."""
     return lambda surface: surface in tables.variants or any(lookup(surface, ontologies))
 
 
-def normalize(
-    raw: RawUtterance, tables: NormalizationTables, *ontologies: Ontology
-) -> NormalizedUtterance:
-    """Full standardization pipeline for one utterance.
+def normalize(raw: RawUtterance, tables: NormalizationTables, *ontologies: Ontology) -> NormalizedUtterance:
+    """Full standardization pipeline for one utterance: `normalize_all` of it.
 
     The ontologies supply the surface vocabulary that gates clitic expansion;
     pass every ontology the annotator will consult (normally the domain/task
@@ -357,24 +342,48 @@ def normalize(
     a label or a relation id, so no vocabulary is built per call and the
     cost per token does not grow with the lexicon or the tables.
     """
-    return _normalize(raw, tables, _clitic_gate(tables, ontologies))
+    return normalize_all([raw], tables, *ontologies)[0]
 
 
 def normalize_all(
     utterances: Iterable[RawUtterance], tables: NormalizationTables, *ontologies: Ontology
 ) -> list[NormalizedUtterance]:
-    """`normalize` of each utterance, with a clitic gate that answers each
-    remainder once per call and keeps nothing after it."""
-    known = cache(_clitic_gate(tables, ontologies))
-    return [_normalize(raw, tables, known) for raw in utterances]
+    """Each utterance's surfaces: tokenized, clitics expanded, compounds merged,
+    then each surface's variant base."""
+    known = _clitic_gate(tables, ontologies)
+    rewrite = lambda raw: merge_compounds(expand_clitics(tokenize(raw), tables, known), tables)
+    return [NormalizedUtterance(raw.id, tuple([radicalize(s, tables) for s in rewrite(raw)])) for raw in utterances]
 
 
-def _normalize(raw: RawUtterance, tables: NormalizationTables, known: Callable[[str], bool]) -> NormalizedUtterance:
-    """`normalize` with the clitic gate `known`: clitics, compounds, then each token's variant base."""
-    final: list[Token] = []
-    for token in merge_compounds(expand_clitics(tokenize(raw), tables, known), tables):
-        base = radicalize(token.surface, tables)
-        if base != token.surface:
+def explain(raw: RawUtterance, tables: NormalizationTables, *ontologies: Ontology) -> tuple[Token, ...]:
+    """The tokens `normalize` gives `raw`, each with its span in the raw text
+    and its rewrite steps, replayed through the rule helpers `expand_clitics`
+    and `merge_compounds` call. Transliteration maps one character to one, so
+    the spans of the transliterated text index the raw text as well. A clitic
+    expansion's first marker covers the prefix and any further one is
+    zero-width; a compound spans its parts and keeps their steps, once each.
+    """
+    known = _clitic_gate(tables, ontologies)
+    tokens: list[Token] = []
+    for match in _TOKEN.finditer(transliterate(raw.text)):
+        surface, (start, end) = match[0], match.span()
+        if (rule := _clitic_rule(surface, tables, known)) is None:
+            tokens.append(Token(surface, (start, end)))
+            continue
+        step, cut = (f"clitic:{rule.prefix}",), start + len(rule.prefix)
+        tokens += [Token(s, (start, cut) if k == 0 else (cut, cut), step) for k, s in enumerate(rule.expansion)]
+        tokens.append(Token(surface[len(rule.prefix):], (cut, end), step))
+    surfaces = [t.surface for t in tokens]
+    out: list[Token] = []
+    i = 0
+    while i < len(tokens):
+        token, n = tokens[i], 1
+        if rule := _compound_rule(surfaces, i, tables):
+            n = len(rule.parts)
+            steps = tuple(dict.fromkeys(s for t in tokens[i:i + n] for s in t.trace)) + ("compound",)
+            token = Token(rule.replacement, (token.span[0], tokens[i + n - 1].span[1]), steps)
+        if (base := radicalize(token.surface, tables)) != token.surface:
             token = Token(base, token.span, token.trace + (f"variant:{token.surface}",))
-        final.append(token)
-    return NormalizedUtterance(id=raw.id, tokens=tuple(final))
+        out.append(token)
+        i += n
+    return tuple(out)

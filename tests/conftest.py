@@ -14,7 +14,7 @@ import pytest
 from ontosem import samples
 from ontosem.annotate import AnnotatedUtterance, Status, annotate
 from ontosem.interpret import RESOLVED, InterpretedUtterance
-from ontosem.normalize import NormalizedUtterance, Token, load_tables
+from ontosem.normalize import NormalizedUtterance, load_tables
 from ontosem.ontology import Concept, Instance, Ontology, Relation, pair_findings
 from ontosem.ontology_io import load_ontology
 
@@ -101,8 +101,7 @@ def surface_vocabulary(ontology):
 
 
 def make_normalized(surfaces, uid="u"):
-    tokens = tuple(Token(s, (i * 10, i * 10 + len(s))) for i, s in enumerate(surfaces))
-    return NormalizedUtterance(id=uid, tokens=tokens)
+    return NormalizedUtterance(id=uid, tokens=tuple(surfaces))
 
 
 def annotate_surfaces(surfaces, *ontologies, uid="u"):

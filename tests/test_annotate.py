@@ -15,13 +15,12 @@ from ontosem.annotate import (
     committed_label,
 )
 from ontosem.corpus import load_utterances
-from ontosem.normalize import NormalizedUtterance, RawUtterance, Token, normalize
+from ontosem.normalize import NormalizedUtterance, normalize
 from ontosem.ontology import EMPTY, Concept, Instance, Ontology, Relation, lookup
 
 
 def normalized(surfaces_list, uid="u"):
-    tokens = tuple(Token(s, (i * 10, i * 10 + len(s))) for i, s in enumerate(surfaces_list))
-    return NormalizedUtterance(id=uid, tokens=tokens)
+    return NormalizedUtterance(id=uid, tokens=tuple(surfaces_list))
 
 
 def test_time_question_annotation_sets(ontologies):
@@ -124,6 +123,16 @@ def test_relation_wins_over_instance_on_unvalidated_ontology(caplog):
     ]
     warned = [r for r in caplog.records if "both instance and relation trigger" in r.message]
     assert len(warned) == 2
+
+    # `annotate` is `annotate_all` of one utterance: once per distinct surface per call
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="ontosem.annotate"):
+        assert annotate(utterances[0], broken) == annotated[0]
+        annotate(utterances[1], broken)
+    warned = [r for r in caplog.records if "both instance and relation trigger" in r.message]
+    assert [r.getMessage() for r in warned] == [
+        "surface 'w' is both instance and relation trigger; treating as marker"
+    ] * 2
 
 
 def test_three_plus_candidate_labels_allowed():

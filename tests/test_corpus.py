@@ -55,8 +55,8 @@ def test_only_newline_ends_a_corpus_line(tmp_path, char):
     assert [(u.id, u.text) for u in utterances] == [
         ("u1", f"OtrAn{char}twns"), ("u2", "ltwns"), ("u3", f"OtrAn{char}u9\ttwns"),
     ]
-    assert [t.surface for t in tokenize(utterances[0])] == ["OtrAn", "twns"]
-    assert [t.surface for t in tokenize(utterances[2])] == ["OtrAn", "u9", "twns"]
+    assert tokenize(utterances[0]) == ["OtrAn", "twns"]
+    assert tokenize(utterances[2]) == ["OtrAn", "u9", "twns"]
 
 
 @pytest.mark.parametrize("char", LINE_BREAKS_OF_SPLITLINES, ids=lambda c: f"U+{ord(c):04X}")
@@ -162,7 +162,7 @@ def test_shipped_gold_aligns_with_normalized_corpus(domain, task, tables, merged
     normalized = normalize_all(load_utterances(samples.corpus_path()), tables, domain, task)
     assert {n.id for n in normalized} == set(gold)
     for norm in normalized:
-        assert [t.surface for t in norm.tokens] == [t.surface for t in gold[norm.id].tokens], norm.id
+        assert list(norm.tokens) == [t.surface for t in gold[norm.id].tokens], norm.id
 
 
 def write_gold(gold, path):

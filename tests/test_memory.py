@@ -107,7 +107,7 @@ def test_bytes_held_per_loaded_instance(tmp_path):
 RECORDS = [
     RawUtterance("u", "OtrAn"),
     Token("OtrAn", (0, 5), ("variant:AltrAn",)),
-    NormalizedUtterance("u", (Token("OtrAn", (0, 5)),)),
+    NormalizedUtterance("u", ("OtrAn",)),
     CompoundRule(("IlmADy", "sAEh"), "IlmADy_sAEh"),
     CliticRule("l", ("Ily",)),
     TokenAnnotation("twns", frozenset({"Arrival_City"}), frozenset(), Status.LABELED),

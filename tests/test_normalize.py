@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from conftest import surface_vocabulary
-from ontosem import normalize as normalize_module, samples
+from ontosem import samples
 from ontosem.buckwalter import BUCKWALTER_MAP, _TABLE, transliterate
 from ontosem.corpus import load_utterances
 from ontosem.normalize import (
@@ -19,6 +19,7 @@ from ontosem.normalize import (
     TablesError,
     Token,
     expand_clitics,
+    explain,
     load_tables,
     merge_compounds,
     normalize,
@@ -26,14 +27,15 @@ from ontosem.normalize import (
     radicalize,
     tokenize,
 )
-from ontosem.ontology import Concept, Instance, Ontology, Relation, lookup
+from ontosem.ontology import Concept, Instance, Ontology, Relation
 
 
 # -- reference implementations ---------------------------------------------------
 # The straightforward forms the indexed code must agree with: every clitic
 # rule tried on every token, every compound rule tried at every position, and
 # the clitic gate's vocabulary built as the set union of the variant keys and
-# every ontology's surface vocabulary.
+# every ontology's surface vocabulary. They carry spans and traces, which
+# `explain` must give, and whose surfaces `normalize` must give.
 
 def reference_expand_clitics(tokens, tables, known):
     out = []
@@ -90,7 +92,7 @@ def reference_vocabulary(tables, ontologies):
 
 
 def reference_normalize(raw, tables, *ontologies):
-    tokens = reference_expand_clitics(tokenize(raw), tables, reference_vocabulary(tables, ontologies).__contains__)
+    tokens = reference_expand_clitics(reference_tokenize(raw), tables, reference_vocabulary(tables, ontologies).__contains__)
     final = []
     for token in reference_merge_compounds(tokens, tables):
         base = radicalize(token.surface, tables)
@@ -135,16 +137,14 @@ def test_transliterate_maps_both_arabic_digit_sets():
     assert transliterate("٠١٢٣٤٥٦٧٨٩") == "0123456789"
     assert transliterate("۰۱۲۳۴۵۶۷۸۹") == "0123456789"
     raw = RawUtterance("u", "sAEh ۱۲؟")
-    tokens = tokenize(raw)
-    assert surfaces(tokens) == ["sAEh", "12"]
-    assert tokens[1].span == (5, 7) and raw.text[5:7] == "۱۲"
+    assert tokenize(raw) == ["sAEh", "12"]
+    assert explain(raw, NormalizationTables())[1].span == (5, 7) and raw.text[5:7] == "۱۲"
 
 
 # -- tokenize --------------------------------------------------------------------
 
 def test_tokenize_strips_trailing_question_mark():
-    tokens = tokenize(RawUtterance("u", "wqtA$ yxrj OtrAn?"))
-    assert surfaces(tokens) == ["wqtA$", "yxrj", "OtrAn"]
+    assert tokenize(RawUtterance("u", "wqtA$ yxrj OtrAn?")) == ["wqtA$", "yxrj", "OtrAn"]
 
 
 def test_tokenize_empty_text():
@@ -152,19 +152,20 @@ def test_tokenize_empty_text():
 
 
 def test_tokenize_collapses_whitespace():
-    tokens = tokenize(RawUtterance("u", "a  b"))
-    assert surfaces(tokens) == ["a", "b"]
-    assert [t.span for t in tokens] == [(0, 1), (3, 4)]
+    raw = RawUtterance("u", "a  b")
+    assert tokenize(raw) == ["a", "b"]
+    assert [t.span for t in explain(raw, NormalizationTables())] == [(0, 1), (3, 4)]
 
 
 def test_tokenize_punctuation_set():
-    tokens = tokenize(RawUtterance("u", "x, y. z! w؟ $keep"))
-    assert surfaces(tokens) == ["x", "y", "z", "w", "$keep"]
+    assert tokenize(RawUtterance("u", "x, y. z! w؟ $keep")) == ["x", "y", "z", "w", "$keep"]
 
 
 def test_tokenize_spans_index_raw_text():
     raw = RawUtterance("u", "وقتاش يخرج التران؟")
-    for token in tokenize(raw):
+    tokens = explain(raw, NormalizationTables())
+    assert surfaces(tokens) == tokenize(raw)
+    for token in tokens:
         start, end = token.span
         assert transliterate(raw.text[start:end]) == token.surface
 
@@ -203,7 +204,8 @@ token_text = st.text(
 @given(text=token_text)
 def test_property_tokenize_matches_the_character_loop(text):
     raw = RawUtterance("u", text)
-    assert tokenize(raw) == reference_tokenize(raw)
+    assert tokenize(raw) == surfaces(reference_tokenize(raw))
+    assert explain(raw, NormalizationTables()) == tuple(reference_tokenize(raw))
 
 
 @settings(max_examples=200, deadline=None)
@@ -218,40 +220,41 @@ def test_property_read_back_accepts_exactly_the_single_tokens(tmp_path_factory, 
         accepted = True
     except TablesError:
         accepted = False
-    assert accepted == (surfaces(tokenize(RawUtterance("u", surface))) == [surface])
+    assert accepted == (tokenize(RawUtterance("u", surface)) == [surface])
 
 
 # -- clitic expansion ---------------------------------------------------------------
 
 def test_expand_clitic_before_known_host(tables, vocabulary):
     tokens = tokenize(RawUtterance("u", "ltwns"))
-    assert surfaces(expand_clitics(tokens, tables, vocabulary.__contains__)) == ["Ily", "twns"]
+    assert expand_clitics(tokens, tables, vocabulary.__contains__) == ["Ily", "twns"]
 
 
 def test_no_clitic_no_change(tables, vocabulary):
     tokens = tokenize(RawUtterance("u", "twns"))
-    assert surfaces(expand_clitics(tokens, tables, vocabulary.__contains__)) == ["twns"]
+    assert expand_clitics(tokens, tables, vocabulary.__contains__) == ["twns"]
 
 
 def test_expansion_is_vocabulary_gated(tables, vocabulary):
     assert "XYZ" not in vocabulary  # the remainder really is unknown
     tokens = tokenize(RawUtterance("u", "lXYZ"))
-    assert surfaces(expand_clitics(tokens, tables, vocabulary.__contains__)) == ["lXYZ"]
+    assert expand_clitics(tokens, tables, vocabulary.__contains__) == ["lXYZ"]
 
 
 def test_known_word_starting_with_clitic_letter_survives(tables, vocabulary):
     # lksbrAs is a train type, not Ily + ksbrAs
     assert "ksbrAs" not in vocabulary
     tokens = tokenize(RawUtterance("u", "lksbrAs"))
-    assert surfaces(expand_clitics(tokens, tables, vocabulary.__contains__)) == ["lksbrAs"]
+    assert expand_clitics(tokens, tables, vocabulary.__contains__) == ["lksbrAs"]
 
 
-def test_multi_token_expansion_spans(tables):
-    from ontosem.normalize import CliticRule
-
+def test_multi_token_expansion_spans():
     custom = NormalizationTables(clitics=(CliticRule("b", ("B1", "B2")),))
-    tokens = expand_clitics(tokenize(RawUtterance("u", "bhost")), custom, {"host"}.__contains__)
+    raw = RawUtterance("u", "bhost")
+    assert expand_clitics(tokenize(raw), custom, {"host"}.__contains__) == ["B1", "B2", "host"]
+    tokens = explain(raw, custom, boundary_ontology(["host"], ()))
     assert surfaces(tokens) == ["B1", "B2", "host"]
+    assert {t.trace for t in tokens} == {("clitic:b",)}
     spans = [t.span for t in tokens]
     assert spans == [(0, 1), (1, 1), (1, 5)]
     assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
@@ -260,13 +263,11 @@ def test_multi_token_expansion_spans(tables):
 def test_prefix_only_token_not_expanded(tables, vocabulary):
     # a bare clitic form has no remainder to expand
     tokens = tokenize(RawUtterance("u", "mn"))
-    assert surfaces(expand_clitics(tokens, tables, vocabulary.__contains__)) == ["mn"]
+    assert expand_clitics(tokens, tables, vocabulary.__contains__) == ["mn"]
 
 
-def test_expanded_spans_stay_ordered(tables, vocabulary):
-    tokens = expand_clitics(
-        tokenize(RawUtterance("u", "ltwns mnSfAqs")), tables, vocabulary.__contains__
-    )
+def test_expanded_spans_stay_ordered(tables, ontologies):
+    tokens = explain(RawUtterance("u", "ltwns mnSfAqs"), tables, *ontologies)
     assert surfaces(tokens) == ["Ily", "twns", "mn", "SfAqs"]
     spans = [t.span for t in tokens]
     assert spans == sorted(spans)
@@ -276,15 +277,12 @@ def test_expanded_spans_stay_ordered(tables, vocabulary):
 # -- compound merging -----------------------------------------------------------------
 
 def test_merge_known_compound(tables):
-    tokens = [Token("IlmADy", (0, 6)), Token("sAEh", (7, 11))]
-    merged = merge_compounds(tokens, tables)
-    assert surfaces(merged) == ["IlmADy_sAEh"]
-    assert merged[0].span == (0, 11)
+    assert merge_compounds(["IlmADy", "sAEh"], tables) == ["IlmADy_sAEh"]
+    assert explain(RawUtterance("u", "IlmADy sAEh"), tables) == (Token("IlmADy_sAEh", (0, 11), ("compound",)),)
 
 
 def test_partial_compound_unchanged(tables):
-    tokens = [Token("IlmADy", (0, 6))]
-    assert surfaces(merge_compounds(tokens, tables)) == ["IlmADy"]
+    assert merge_compounds(["IlmADy"], tables) == ["IlmADy"]
 
 
 def enumerate_segmentations(parts_list, rules):
@@ -303,8 +301,7 @@ def enumerate_segmentations(parts_list, rules):
 def test_overlapping_compounds_leftmost_wins():
     rules = (CompoundRule(("A", "B"), "A_B"), CompoundRule(("B", "C"), "B_C"))
     tables = NormalizationTables(compounds=rules)
-    tokens = [Token(s, (i * 2, i * 2 + 1)) for i, s in enumerate(["A", "B", "C"])]
-    result = surfaces(merge_compounds(tokens, tables))
+    result = merge_compounds(["A", "B", "C"], tables)
 
     candidates = enumerate_segmentations(["A", "B", "C"], rules)
     assert ["A_B", "C"] in candidates and ["A", "B_C"] in candidates
@@ -315,8 +312,7 @@ def test_overlapping_compounds_leftmost_wins():
 def test_longest_compound_wins():
     rules = (CompoundRule(("A", "B"), "A_B"), CompoundRule(("A", "B", "C"), "A_B_C"))
     tables = NormalizationTables(compounds=rules)
-    tokens = [Token(s, (i * 2, i * 2 + 1)) for i, s in enumerate(["A", "B", "C"])]
-    assert surfaces(merge_compounds(tokens, tables)) == ["A_B_C"]
+    assert merge_compounds(["A", "B", "C"], tables) == ["A_B_C"]
 
 
 def test_rule_precedence_fixed_at_construction():
@@ -326,19 +322,17 @@ def test_rule_precedence_fixed_at_construction():
     )
     assert [rule.replacement for rule in tables.compounds] == ["A_B_C", "A_B"]
     assert [rule.prefix for rule in tables.clitics] == ["wl", "w"]
-    tokens = [Token(s, (i * 2, i * 2 + 1)) for i, s in enumerate(["A", "B", "C"])]
-    assert surfaces(merge_compounds(tokens, tables)) == ["A_B_C"]
+    assert merge_compounds(["A", "B", "C"], tables) == ["A_B_C"]
     # both prefixes leave a known remainder; the longer one must win
     raw = tokenize(RawUtterance("u", "wlhost"))
-    assert surfaces(expand_clitics(raw, tables, {"host", "lhost"}.__contains__)) == ["w", "l", "host"]
+    assert expand_clitics(raw, tables, {"host", "lhost"}.__contains__) == ["w", "l", "host"]
 
 
 def test_merged_surface_comes_from_replacement_column(tables):
     replacements = {rule.replacement for rule in tables.compounds}
-    tokens = [Token("rwHh", (0, 4)), Token("wjyh", (5, 9)), Token("zz", (10, 12))]
-    for token in merge_compounds(tokens, tables):
-        if "compound" in token.trace:
-            assert token.surface in replacements
+    tokens = explain(RawUtterance("u", "rwHh wjyh zz"), tables)
+    assert [t.trace for t in tokens] == [("compound",), ()]
+    assert tokens[0].surface in replacements
 
 
 def test_compound_rule_with_no_parts_rejected():
@@ -439,11 +433,15 @@ def generated_ontology(draw):
     traced=st.lists(st.booleans(), min_size=8, max_size=8),
 )
 def test_property_indexed_merge_matches_linear_scan(tables, surfaces, traced):
-    tokens = [
-        Token(s, (2 * i, 2 * i + 1), ("clitic:l",) if traced[i] else ())
-        for i, s in enumerate(surfaces)
-    ]
-    assert merge_compounds(tokens, tables) == reference_merge_compounds(tokens, tables)
+    tokens = [Token(s, (2 * i, 2 * i + 1)) for i, s in enumerate(surfaces)]
+    assert merge_compounds(surfaces, tables) == [t.surface for t in reference_merge_compounds(tokens, tables)]
+    # traced parts: a word behind the clitic `q`, whose rule emits no marker,
+    # reaches the merge as itself with the step `clitic:q`
+    raw = RawUtterance("u", " ".join("q" * traced[i] + s for i, s in enumerate(surfaces)))
+    quoted = NormalizationTables(tables.compounds, (CliticRule("q", ()),))
+    traced_tokens = reference_expand_clitics(reference_tokenize(raw), quoted, set(SURFACES).__contains__)
+    assert [t.surface for t in traced_tokens] == surfaces
+    assert explain(raw, quoted, boundary_ontology(SURFACES, ())) == tuple(reference_merge_compounds(traced_tokens, quoted))
 
 
 @settings(max_examples=300, deadline=None)
@@ -454,7 +452,9 @@ def test_property_indexed_merge_matches_linear_scan(tables, surfaces, traced):
 )
 def test_property_normalize_matches_set_union_vocabulary(tables, ontologies, words):
     raw = RawUtterance("u", " ".join(words))
-    assert normalize(raw, tables, *ontologies) == reference_normalize(raw, tables, *ontologies)
+    expected = reference_normalize(raw, tables, *ontologies).tokens
+    assert explain(raw, tables, *ontologies) == expected
+    assert normalize(raw, tables, *ontologies) == NormalizedUtterance("u", tuple(surfaces(expected)))
 
 
 # -- radicalization -----------------------------------------------------------------
@@ -500,9 +500,8 @@ def test_compound_part_that_is_a_variant_base_rejected_at_load(tmp_path, ontolog
     path.write_text(json.dumps(doc), encoding="utf-8")
     tables = load_tables(path)
     for text in ("trAn X", "OtrAn X"):
-        once = normalize(RawUtterance("u", text), tables, *ontologies)
-        again = normalize(RawUtterance("u", " ".join(surfaces(once.tokens))), tables, *ontologies)
-        assert surfaces(again.tokens) == surfaces(once.tokens)
+        once, again = two_passes(text, tables, *ontologies)
+        assert again == once
 
 
 @pytest.mark.parametrize(
@@ -521,9 +520,8 @@ def test_compound_part_that_is_a_replacement_rejected_at_load(
 ):
     rules = [CompoundRule(tuple(c["parts"]), c.get("replacement", "_".join(c["parts"]))) for c in compounds]
     tables = NormalizationTables(tuple(rules))
-    once = normalize(RawUtterance("u", text), tables, *ontologies)
-    again = normalize(RawUtterance("u", " ".join(surfaces(once.tokens))), tables, *ontologies)
-    assert surfaces(again.tokens) != surfaces(once.tokens)  # the hole the check closes
+    once, again = two_passes(text, tables, *ontologies)
+    assert again != once  # the hole the check closes
 
     path = tmp_path / "tables.json"
     path.write_text(json.dumps({"format_version": 1, "compounds": compounds}), encoding="utf-8")
@@ -599,25 +597,25 @@ def test_tables_bad_json_reports_position(tmp_path):
 
 def test_normalize_worked_example(tables, ontologies):
     result = normalize(RawUtterance("u", "ltwns IlmADy sAEh"), tables, *ontologies)
-    assert surfaces(result.tokens) == ["Ily", "twns", "IlmADy_sAEh"]
+    assert result == NormalizedUtterance("u", ("Ily", "twns", "IlmADy_sAEh"))
 
 
 def test_normalize_time_question(tables, ontologies):
     result = normalize(RawUtterance("u", "wqtA$ yxrj OtrAn?"), tables, *ontologies)
-    assert surfaces(result.tokens) == ["wqtA$", "yxrj", "OtrAn"]
+    assert result.tokens == ("wqtA$", "yxrj", "OtrAn")
 
 
 def test_normalize_arabic_script_variant(tables, ontologies):
-    result = normalize(RawUtterance("u", "وقتاش يخرج التران؟"), tables, *ontologies)
-    assert surfaces(result.tokens) == ["wqtA$", "yxrj", "OtrAn"]
-    assert "variant:AltrAn" in result.tokens[2].trace
+    raw = RawUtterance("u", "وقتاش يخرج التران؟")
+    assert normalize(raw, tables, *ontologies).tokens == ("wqtA$", "yxrj", "OtrAn")
+    assert explain(raw, tables, *ontologies)[2] == Token("OtrAn", (11, 17), ("variant:AltrAn",))
 
 
 def test_normalize_idempotent_on_shipped_corpus(tables, ontologies):
     for raw in load_utterances(samples.corpus_path()):
-        once = normalize(raw, tables, *ontologies)
-        again = normalize(RawUtterance(raw.id, " ".join(surfaces(once.tokens))), tables, *ontologies)
-        assert surfaces(again.tokens) == surfaces(once.tokens), raw.id
+        once = normalize(raw, tables, *ontologies).tokens
+        again = normalize(RawUtterance(raw.id, " ".join(once)), tables, *ontologies).tokens
+        assert again == once, raw.id
 
 
 def write_tables(path, tables):
@@ -633,8 +631,8 @@ def write_tables(path, tables):
 
 
 def two_passes(text, tables, *ontologies):
-    once = surfaces(normalize(RawUtterance("u", text), tables, *ontologies).tokens)
-    return once, surfaces(normalize(RawUtterance("u", " ".join(once)), tables, *ontologies).tokens)
+    once = list(normalize(RawUtterance("u", text), tables, *ontologies).tokens)
+    return once, list(normalize(RawUtterance("u", " ".join(once)), tables, *ontologies).tokens)
 
 
 def load_findings(path, *ontologies):
@@ -661,7 +659,7 @@ def test_load_tables_names_what_a_clitic_rule_splits_again(tmp_path, tables, ont
     reduced = NormalizationTables(
         (CompoundRule(("c", "d"), "ltwns"),), tables.clitics, {"ltwns": "twns"}
     )
-    assert surfaces(normalize(RawUtterance("u", "c d"), reduced, *ontologies).tokens) == ["twns"]
+    assert normalize(RawUtterance("u", "c d"), reduced, *ontologies).tokens == ("twns",)
     assert load_tables(write_tables(path, reduced), *ontologies) == reduced
     # an entry mapping a surface to itself rewrites nothing, but makes the
     # surface a known clitic host
@@ -729,7 +727,7 @@ def reference_host_findings(tables, ontologies):
                   (i.surface for o in ontologies for i in o.instances))
     findings = []
     for host in sorted({s for s in hosts if s.startswith(prefixes)}):
-        parts = surfaces(expand_clitics([Token(host, (0, len(host)))], tables, known))
+        parts = surfaces(reference_expand_clitics([Token(host, (0, len(host)))], tables, known))
         if radicalize(host, tables) == host and len(parts) > 1:
             findings.append(f"known surface {host!r} is a clitic host that a second pass splits into {parts!r}")
     return findings
@@ -835,23 +833,21 @@ def test_property_normalize_is_a_fixed_point_under_accepted_tables(
 
 def test_normalize_spans_strictly_increasing(tables, ontologies):
     for raw in load_utterances(samples.corpus_path()):
-        result = normalize(raw, tables, *ontologies)
-        spans = [t.span for t in result.tokens]
+        spans = [t.span for t in explain(raw, tables, *ontologies)]
         assert all(0 <= s <= e <= len(raw.text) for s, e in spans)
         assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
 
 
 def test_clitic_expansion_never_creates_unknown_remainder(tables, ontologies, vocabulary):
     for raw in load_utterances(samples.corpus_path()):
-        result = normalize(raw, tables, *ontologies)
-        for token in result.tokens:
+        for token in explain(raw, tables, *ontologies):
             if any(step.startswith("clitic:") for step in token.trace):
                 known = token.surface in vocabulary
                 is_marker = any(token.surface in r.expansion for r in tables.clitics)
                 assert known or is_marker, token
 
 
-# -- normalize_all: each distinct surface expanded once per call ---------------------
+# -- normalize_all and explain over generated corpora -------------------------------
 
 @st.composite
 def raw_corpora(draw):
@@ -876,59 +872,58 @@ def test_property_normalize_all_equals_normalize_per_utterance(corpus):
     assert normalize_all(raws, tables, *ontologies) == [normalize(r, tables, *ontologies) for r in raws]
 
 
-def _normalized_tokens(corpus):
+@settings(max_examples=300, deadline=None)
+@given(raw_corpora())
+def test_property_explain_gives_normalize_surfaces_with_spans_in_the_raw_text(corpus):
     tables, ontologies, raws = corpus
-    return [t for r in raws for t in normalize(r, tables, *ontologies).tokens]
+    for raw, normalized in zip(raws, normalize_all(raws, tables, *ontologies), strict=True):
+        tokens = explain(raw, tables, *ontologies)
+        assert tuple(surfaces(tokens)) == normalized.tokens
+        spans = [t.span for t in tokens]
+        assert all(0 <= start <= end <= len(raw.text) for start, end in spans)
+        assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))  # in order, none overlapping
+        for token in tokens:
+            if not token.trace:
+                assert transliterate(raw.text[token.span[0]:token.span[1]]) == token.surface
+
+
+def _explained_tokens(corpus):
+    tables, ontologies, raws = corpus
+    return [t for r in raws for t in explain(r, tables, *ontologies)]
 
 
 def _host_at_two_offsets(corpus):
     tables, ontologies, raws = corpus
     starts = {}
-    for t in (t for r in raws for t in tokenize(r)):
+    for t in (t for r in raws for t in explain(r, NormalizationTables())):
         starts.setdefault(t.surface, set()).add(t.span[0])
-    steps = lambda s: (step for t in normalize(RawUtterance("", s), tables, *ontologies).tokens for step in t.trace)
+    steps = lambda s: (step for t in explain(RawUtterance("", s), tables, *ontologies) for step in t.trace)
     return any(len(at) > 1 and any(step.startswith("clitic:") for step in steps(s)) for s, at in starts.items())
 
 
 def _equal_not_same(corpus):
     _, _, raws = corpus
-    surfaces = [t.surface for r in raws for t in tokenize(r)]
+    surfaces = [s for r in raws for s in tokenize(r)]
     return any(a == b and a is not b for a, b in combinations(surfaces, 2))
 
 
 @pytest.mark.parametrize("holds", [
     _host_at_two_offsets,
-    lambda c: any(t.span[0] == t.span[1] for t in _normalized_tokens(c)),
-    lambda c: any(t.trace[0].startswith("clitic:") and "compound" in t.trace for t in _normalized_tokens(c) if t.trace),
-    lambda c: any(step.startswith("variant:") for t in _normalized_tokens(c) for step in t.trace),
+    lambda c: any(t.span[0] == t.span[1] for t in _explained_tokens(c)),
+    lambda c: any(t.trace[0].startswith("clitic:") and "compound" in t.trace for t in _explained_tokens(c) if t.trace),
+    lambda c: any(step.startswith("variant:") for t in _explained_tokens(c) for step in t.trace),
     _equal_not_same,
 ], ids=["repeated-host", "two-token-expansion", "compound-over-rest", "variant", "equal-not-same"])
 def test_the_raw_corpora_hold_what_the_property_needs(holds):
     find(raw_corpora(), holds, settings=settings(database=None, phases=[Phase.generate], max_examples=1000))
 
 
-def test_normalize_all_asks_the_gate_once_per_remainder_per_call(monkeypatch, tables, ontologies):
-    asked = []
-
-    def counted(surface, ontologies):
-        asked.append(surface)
-        return lookup(surface, ontologies)
-
-    monkeypatch.setattr(normalize_module, "lookup", counted)
-    raws = [RawUtterance("u0", "ltwns sAEh ltwns? lxyz"), RawUtterance("u1", "sAEh, ltwns")]
-    first = normalize_all(raws, tables, *ontologies)
-    assert asked == ["twns", "xyz"]
-    assert [t.span for t in first[1].tokens] == [(0, 4), (6, 7), (7, 11)]
-    assert normalize_all(raws, tables, *ontologies) == first
-    assert asked == ["twns", "xyz"] * 2  # nothing was kept from the first call
-
-
 def test_successive_calls_under_other_tables_or_ontologies_give_their_own_output(tables, ontologies):
     raws = [RawUtterance("u", "ltwns mn ltwns")]
     split = normalize_all(raws, tables, *ontologies)
-    assert [t.surface for t in split[0].tokens] == ["Ily", "twns", "mn", "Ily", "twns"]
+    assert split[0].tokens == ("Ily", "twns", "mn", "Ily", "twns")
     for other in [(tables,), (NormalizationTables(variants=tables.variants), *ontologies)]:
         whole = normalize_all(raws, *other)
         assert whole == [normalize(raws[0], *other)]
-        assert [t.surface for t in whole[0].tokens] == ["ltwns", "mn", "ltwns"]
+        assert whole[0].tokens == ("ltwns", "mn", "ltwns")
     assert normalize_all(raws, tables, *ontologies) == split

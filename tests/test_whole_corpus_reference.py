@@ -380,7 +380,7 @@ def test_annotate_all_equals_annotate_per_utterance(utterances, pair):
 
 
 def _surfaces(utterances):
-    return [t.surface for u in utterances for t in u.tokens]
+    return [s for u in utterances for s in u.tokens]
 
 
 @pytest.mark.parametrize("holds", [
